@@ -264,6 +264,7 @@ def infeasibility_certificate(
                 undecided.append((box_r, box_s))
             if undecided_count >= undecided_cap:
                 note = note or f"stopped after {undecided_cap} surviving boxes"
+                undecided_count += len(stack)
                 break
             continue
         if box_r.width() >= box_s.width():

@@ -42,6 +42,7 @@ from .formulas import (
     COMMITTED_ROLES,
     Role,
     Scenario,
+    ScenarioError,
     corner_value,
     ev_raw,
     ev_simplified,
@@ -326,7 +327,7 @@ def _verify_corners(args) -> tuple[dict, bool]:
                             failures.append(
                                 {"k": k, "t": t, "l": l, "s": corner, "value": str(value)}
                             )
-                    except GameError as exc:
+                    except ScenarioError as exc:
                         failures.append(
                             {"k": k, "t": t, "l": l, "s": corner, "error": str(exc)}
                         )
@@ -550,3 +551,7 @@ def main(argv=None) -> int:
     if code != EXIT_OK:
         return code
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,17 +1,18 @@
 """Outward-rounded interval arithmetic over dyadic rationals.
 
-Endpoints are exact ``Fraction`` values.  Arithmetic on dyadic inputs is
-exact; to cap operand growth, evaluation routines round outward onto the
-2**-PRECISION_BITS grid after each step (lower endpoints down, upper
-endpoints up), so every computed interval encloses the true range.  No
-hardware rounding is involved anywhere, which makes results reproducible
-bit-for-bit across platforms.
+Endpoints are exact ``Fraction`` values.  Polynomial enclosures are
+computed exactly in Python integers over one common denominator and
+rounded outward onto the 2**-PRECISION_BITS grid once per bound (lower
+endpoints down, upper endpoints up), so every computed interval encloses
+the true range.  No hardware rounding is involved anywhere, which makes
+results reproducible bit-for-bit across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 PRECISION_BITS = 112
@@ -101,19 +102,16 @@ class Poly2:
     """Polynomial in (r, s) with exact rational coefficients, at most
     linear in s.  Written as p0(r) + s * p1(r)."""
 
-    __slots__ = ("p0", "p1")
+    __slots__ = ("p0", "p1", "_integer_form")
 
     def __init__(self, p0: Sequence[Fraction] = (), p1: Sequence[Fraction] = ()):
         self.p0 = _trim([Fraction(c) for c in p0])
         self.p1 = _trim([Fraction(c) for c in p1])
+        self._integer_form = None
 
     @staticmethod
     def constant(c) -> "Poly2":
         return Poly2([Fraction(c)], [])
-
-    @staticmethod
-    def var_r() -> "Poly2":
-        return Poly2([Fraction(0), Fraction(1)], [])
 
     @staticmethod
     def var_s() -> "Poly2":
@@ -151,8 +149,6 @@ class Poly2:
         """Scale by the positive rational that makes all coefficients
         integers with content 1.  Zero sets and signs are unchanged;
         returns the scaled polynomial and the factor applied."""
-        from math import gcd, lcm
-
         coeffs = [c for c in self.coefficients() if c != 0]
         if not coeffs:
             return self, Fraction(1)
@@ -165,38 +161,59 @@ class Poly2:
     def eval_exact(self, r: Fraction, s: Fraction) -> Fraction:
         return _horner_exact(self.p0, r) + s * _horner_exact(self.p1, r)
 
-    def eval_interval(
-        self, r: Interval, s: Interval, bits: int = PRECISION_BITS
-    ) -> Interval:
-        """Enclosure of the polynomial over a box, by interval Horner."""
-        base = _horner_interval(self.p0, r, bits)
-        if not self.p1:
-            return base
-        linear = _horner_interval(self.p1, r, bits)
-        return (base + (s * linear).outward(bits)).outward(bits)
-
     def eval_box(self, r: Interval, s: Interval, bits: int = PRECISION_BITS) -> Interval:
         """Tight enclosure over a box.
 
         The polynomial is linear in s, so its range over the box is the
-        hull of the ranges at the two s endpoints.  For each endpoint the
-        r-polynomial is Taylor-shifted to the left edge of the r interval
-        (exact synthetic division) and bounded monomial by monomial in
-        u = r - lo over [0, width]; with u nonnegative each monomial's
-        range is known exactly, which avoids the dependency loss of plain
-        interval Horner on wide boxes.
+        hull of the ranges at the two s endpoints.  With the coefficients
+        written as N_i / Q and the r side as [A/D, (A+W)/D], p(A/D + v/D)
+        equals q(A + v) / (Q D^n) for the integer polynomial
+        q(x) = sum N_i D^(n-i) x^i.  q is Taylor-shifted by A (exact
+        synthetic division in integers) and bounded monomial by monomial
+        over v in [0, W]; with v nonnegative each monomial's range is
+        known exactly, which avoids the dependency loss of plain interval
+        Horner on wide boxes.  Each s endpoint S/E gives exact bounds over
+        the denominator Q D^n E, rounded outward once.
         """
-        shifted0 = _taylor_shift(self.p0, r.lo)
-        shifted1 = _taylor_shift(self.p1, r.lo) if self.p1 else []
-        width = r.width()
-        corners = (s.lo,) if (not shifted1 or s.lo == s.hi) else (s.lo, s.hi)
+        if self._integer_form is None:
+            self._integer_form = _integer_form(self.p0, self.p1)
+        num0, num1, q = self._integer_form
+        n = len(num0) - 1
+        if n < 0:
+            return Interval.point(0)
+        d = lcm(r.lo.denominator, r.hi.denominator)
+        a = r.lo.numerator * (d // r.lo.denominator)
+        w = r.hi.numerator * (d // r.hi.denominator) - a
+        dpow = [1]
+        for _ in range(n):
+            dpow.append(dpow[-1] * d)
+        shifted0 = _taylor_shift([c * dpow[n - i] for i, c in enumerate(num0)], a)
+        if self.p1:
+            shifted1 = _taylor_shift([c * dpow[n - i] for i, c in enumerate(num1)], a)
+            corners = []
+            for e in (s.lo,) if s.lo == s.hi else (s.lo, s.hi):
+                sn, sd = e.numerator, e.denominator
+                corners.append(([sd * c0 + sn * c1 for c0, c1 in zip(shifted0, shifted1)], sd))
+        else:
+            corners = [(shifted0, 1)]
+        wpows = [w]
+        for _ in range(n - 1):
+            wpows.append(wpows[-1] * w)
         lo = hi = None
-        for sv in corners:
-            coeffs = _add(shifted0, [sv * c for c in shifted1])
-            clo, chi = _monomial_bounds(coeffs, width)
+        for coeffs, sd in corners:
+            clo = chi = coeffs[0]
+            for c, wp in zip(coeffs[1:], wpows):
+                term = c * wp
+                if term > 0:
+                    chi += term
+                else:
+                    clo += term
+            full = q * dpow[n] * sd
+            clo = (clo << bits) // full
+            chi = -((-chi << bits) // full)
             lo = clo if lo is None else min(lo, clo)
             hi = chi if hi is None else max(hi, chi)
-        return Interval(lo, hi).outward(bits)
+        return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
     def __repr__(self):
         return f"Poly2(p0={self.p0}, p1={self.p1})"
@@ -236,41 +253,29 @@ def _horner_exact(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _horner_interval(coeffs: Sequence[Fraction], x: Interval, bits: int) -> Interval:
-    acc = Interval.point(0)
-    for c in reversed(coeffs):
-        acc = ((acc * x).outward(bits) + Interval.point(c)).outward(bits)
-    return acc
+def _integer_form(
+    p0: Sequence[Fraction], p1: Sequence[Fraction]
+) -> tuple[list[int], list[int], int]:
+    """Integer numerators of p0 and p1, both padded to one length, and
+    their common positive denominator."""
+    q = lcm(*(c.denominator for c in (*p0, *p1)))
+    length = max(len(p0), len(p1))
+
+    def numerators(coeffs):
+        return [c.numerator * (q // c.denominator) for c in coeffs] + [0] * (length - len(coeffs))
+
+    return numerators(p0), numerators(p1), q
 
 
-def _taylor_shift(coeffs: Sequence[Fraction], a: Fraction) -> list[Fraction]:
-    """Coefficients of p(a + u) given those of p(r), by repeated synthetic
-    division.  Exact."""
-    c = list(coeffs)
+def _taylor_shift(c: list[int], a: int) -> list[int]:
+    """Coefficients of q(a + v) given those of q(x), by repeated synthetic
+    division, in place.  Exact."""
     d = len(c)
     if a != 0:
         for i in range(d - 1):
             for j in range(d - 2, i - 1, -1):
                 c[j] += a * c[j + 1]
     return c
-
-
-def _monomial_bounds(coeffs: Sequence[Fraction], width: Fraction) -> tuple[Fraction, Fraction]:
-    """Range bounds of sum c_i u^i over u in [0, width]."""
-    if not coeffs:
-        return Fraction(0), Fraction(0)
-    lo = hi = coeffs[0]
-    wpow = Fraction(1)
-    for c in coeffs[1:]:
-        wpow *= width
-        if c == 0:
-            continue
-        term = c * wpow
-        if term > 0:
-            hi += term
-        else:
-            lo += term
-    return lo, hi
 
 
 def one_minus_r_power(power: int) -> list[Fraction]:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import rps_forge
 from rps_forge.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rps_forge.gamefile import load_game
 
@@ -190,6 +195,24 @@ class TestVerify:
         )
         assert code == EXIT_OK and env["payload"]["failures"] == 0
 
+    def test_corner_disagreement_is_a_failed_check(self, capsys, monkeypatch):
+        from rps_forge import cli
+        from rps_forge.formulas import ScenarioError
+
+        real = cli.corner_value
+
+        def disagreeing(k, t, l, corner):
+            if corner == 1:
+                raise ScenarioError("closed form disagrees with direct sum")
+            return real(k, t, l, corner)
+
+        monkeypatch.setattr(cli, "corner_value", disagreeing)
+        code, env, _ = run_json(capsys, "verify", "corners", "--kmax", "2", "--tmax", "0")
+        assert code == EXIT_CHECK_FAILED
+        assert env["payload"]["failures"] == 1
+        [record] = env["payload"]["records"]
+        assert record["s"] == 1 and "disagrees" in record["error"]
+
     def test_formulas_need_seed(self, capsys):
         code, _, err = run_cli(capsys, "verify", "formulas")
         assert code == EXIT_USAGE and "seed" in err
@@ -328,3 +351,14 @@ class TestOutputContracts:
         from rps_forge.gamefile import dump_game, load_game
 
         assert dump_game(load_game(a)) == first
+
+
+def test_module_entry_point_prints_help():
+    src = str(Path(rps_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rps_forge.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
