@@ -59,7 +59,6 @@ from .formulas import (
     ScenarioError,
     corner_value,
     ev_raw,
-    ev_raw_oracle,
     ev_simplified,
     identity_check,
 )

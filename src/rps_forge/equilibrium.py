@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
+from operator import mul, sub
 from typing import Sequence
 
 from .core import GameError, GameRule, eval_outcome, tie_payoff
@@ -282,7 +284,18 @@ class SearchConfig:
     starts: int = 200
     max_iter: int = 10_000
     damping: float = 0.5
-    support_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.starts < 0:
+            raise GameError(f"starts must be >= 0, got {self.starts}")
+        if self.max_iter < 1:
+            raise GameError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0 < self.damping <= 1:
+            raise GameError(f"damping must lie in (0, 1], got {self.damping}")
+        if not self.eps > 0:
+            raise GameError(f"eps must be positive, got {self.eps}")
+        if not self.dedup > 0:
+            raise GameError(f"dedup must be positive, got {self.dedup}")
 
 
 def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, tuple[int, ...]], float]:
@@ -295,15 +308,17 @@ def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, tuple[int, ...]], floa
     return cache
 
 
-def _payoffs_for(
-    cache: dict, rule: GameRule, vectors: list[list[float]], player: int
-) -> list[float]:
-    others = [tuple(v) for i, v in enumerate(vectors) if i != player]
-    dist = choice_count_distribution(others, rule.n)
-    return [
-        sum(pr * cache[(o, counts)] for counts, pr in dist.items())
-        for o in range(rule.n)
-    ]
+def _payoff_rows(rule: GameRule, cache: dict) -> list[list[float]]:
+    """``rows[o][j]``: payoff of own object ``o`` against the j-th ordered
+    tuple of opponent objects, tuples in ``itertools.product`` order."""
+    n = rule.n
+    keys = []
+    for picks in product(range(n), repeat=rule.m - 1):
+        counts = [0] * n
+        for o in picks:
+            counts[o] += 1
+        keys.append(tuple(counts))
+    return [[cache[(o, counts)] for counts in keys] for o in range(n)]
 
 
 def _symmetric_payoffs(cache: dict, rule: GameRule, v: Sequence[float]) -> list[float]:
@@ -421,6 +436,9 @@ def _best_response_profiles(
 ) -> list[list[list[float]]]:
     """Damped best-response iteration from seeded random starts."""
     m, n = rule.m, rule.n
+    rows = _payoff_rows(rule, cache)
+    opponents = [[j for j in range(m) if j != i] for i in range(m)]
+    damping = config.damping
     results = []
     for _ in range(config.starts):
         vectors = []
@@ -432,15 +450,21 @@ def _best_response_profiles(
         for it in range(config.max_iter):
             change = 0.0
             for i in range(m):
-                u = _payoffs_for(cache, rule, vectors, i)
-                top = max(u)
-                best = [o for o in range(n) if u[o] >= top - 1e-12]
-                share = 1.0 / len(best)
-                for o in range(n):
-                    target = share if o in best else 0.0
-                    new = (1.0 - config.damping) * vectors[i][o] + config.damping * target
-                    change = max(change, abs(new - vectors[i][o]))
-                    vectors[i][o] = new
+                # joint[j]: probability that the opponents play ordered tuple j
+                joint = [1.0]
+                for j in opponents[i]:
+                    joint = [a * b for a in joint for b in vectors[j]]
+                u = [sum(map(mul, row, joint)) for row in rows]
+                cut = max(u) - 1e-12
+                best = [uo >= cut for uo in u]
+                share = 1.0 / sum(best)
+                old = vectors[i]
+                new = [
+                    (1.0 - damping) * x + damping * (share if b else 0.0)
+                    for x, b in zip(old, best)
+                ]
+                change = max(change, *map(abs, map(sub, new, old)))
+                vectors[i] = new
             if change < 1e-10:
                 break
             if it > 300 and change > 1e-4:
@@ -467,8 +491,6 @@ def search_equilibria(
     cache = _pure_payoff_cache(rule)
 
     candidates: list[tuple[Vector, ...]] = []
-    from itertools import combinations
-
     for size in range(1, rule.n + 1):
         for support in combinations(range(rule.n), size):
             for v in _symmetric_support_candidates(rule, support, cache, rng):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -135,20 +134,6 @@ def ev_simplified(role: Role, sc: Scenario) -> Fraction:
     raise ScenarioError(f"unknown role {role!r}")
 
 
-def _count_r_probability(r_vec: Sequence[Fraction], count: int) -> Fraction:
-    """Probability that exactly ``count`` of these players pick R, by
-    literal enumeration of the player subsets."""
-    idx = range(len(r_vec))
-    total = Fraction(0)
-    for chosen in combinations(idx, count):
-        chosen_set = set(chosen)
-        term = Fraction(1)
-        for j in idx:
-            term *= r_vec[j] if j in chosen_set else 1 - r_vec[j]
-        total += term
-    return total
-
-
 def _count_r_distribution(r_vec: Sequence[Fraction]) -> list[Fraction]:
     """P(exactly j of these players pick R) for j = 0..len, via one pass
     over all player subsets."""
@@ -234,13 +219,6 @@ def ev_raw(
         quiet = dist[0]
         return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
     raise ScenarioError(f"unknown role {role!r}")
-
-
-def ev_raw_oracle(
-    role: Role, k: int, t: int, r_vec: Sequence[Rational], s: Rational
-) -> Fraction:
-    """Alias for :func:`ev_raw`, the transparent oracle route."""
-    return ev_raw(role, k, t, r_vec, s)
 
 
 def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:

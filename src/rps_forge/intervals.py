@@ -42,35 +42,8 @@ class Interval:
         f = Fraction(x)
         return Interval(f, f)
 
-    @staticmethod
-    def make(lo, hi) -> "Interval":
-        return Interval(Fraction(lo), Fraction(hi))
-
     def outward(self, bits: int = PRECISION_BITS) -> "Interval":
         return Interval(floor_dyadic(self.lo, bits), ceil_dyadic(self.hi, bits))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def scale(self, c: Fraction) -> "Interval":
-        if c >= 0:
-            return Interval(c * self.lo, c * self.hi)
-        return Interval(c * self.hi, c * self.lo)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -80,9 +53,6 @@ class Interval:
 
     def entirely_negative(self) -> bool:
         return self.hi < 0
-
-    def entirely_positive(self) -> bool:
-        return self.lo > 0
 
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -125,6 +125,22 @@ class TestNash:
         assert code == EXIT_USAGE
         assert "seed" in err
 
+    def test_search_rejects_negative_starts(self, capsys):
+        code, out, err = run_cli(
+            capsys, "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
+            "--seed", "7", "--starts", "-5",
+        )
+        assert code == EXIT_USAGE
+        assert "starts" in err and not out
+
+    def test_search_rejects_nonpositive_tolerance(self, capsys):
+        code, _, err = run_cli(
+            capsys, "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
+            "--seed", "7", "--tol", "0",
+        )
+        assert code == EXIT_USAGE
+        assert "eps" in err
+
     def test_search_deterministic_given_seed(self, capsys):
         argv = (
             "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",

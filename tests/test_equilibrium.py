@@ -1,14 +1,31 @@
+"""Equilibrium computation: exact payoffs, the symmetric solver, and the
+seeded search.
+
+``reference_best_response_profiles`` is the straightforward damped best
+response: every update rebuilds the opponents' count distribution with
+``choice_count_distribution`` and sums cached pure payoffs over it.  The
+payoff-row kernel in ``_best_response_profiles`` must return the very same
+floats, start for start, and ``search_equilibria`` the very same verified
+profiles and gap reports.
+"""
+
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import random_table_rule
 
-from rps_forge.construct import imbalanced_rps, imbalanced_rps3
+from rps_forge import equilibrium
+from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, odd_one_out
 from rps_forge.core import GameError
 from rps_forge.equilibrium import (
     MixedProfile,
     SearchConfig,
+    _best_response_profiles,
+    _pure_payoff_cache,
+    choice_count_distribution,
     classify_playability,
     expected_payoff,
     expected_winner_count,
@@ -174,6 +191,118 @@ class TestSearch:
         cfg = SearchConfig(seed=3, starts=30)
         for prof, report in search_equilibria(rule, cfg):
             assert report.gap <= cfg.eps
+
+
+def _reference_payoffs(cache, rule, vectors, player):
+    others = [tuple(v) for i, v in enumerate(vectors) if i != player]
+    dist = choice_count_distribution(others, rule.n)
+    return [
+        sum(pr * cache[(o, counts)] for counts, pr in dist.items())
+        for o in range(rule.n)
+    ]
+
+
+def reference_best_response_profiles(rule, cache, config, rng):
+    """Damped best response over per-update opponent count distributions."""
+    m, n = rule.m, rule.n
+    results = []
+    for _ in range(config.starts):
+        vectors = []
+        for _ in range(m):
+            raw = [rng.expovariate(1.0) for _ in range(n)]
+            tot = sum(raw)
+            vectors.append([w / tot for w in raw])
+        change = 1.0
+        for it in range(config.max_iter):
+            change = 0.0
+            for i in range(m):
+                u = _reference_payoffs(cache, rule, vectors, i)
+                top = max(u)
+                best = [o for o in range(n) if u[o] >= top - 1e-12]
+                share = 1.0 / len(best)
+                for o in range(n):
+                    target = share if o in best else 0.0
+                    new = (1.0 - config.damping) * vectors[i][o] + config.damping * target
+                    change = max(change, abs(new - vectors[i][o]))
+                    vectors[i][o] = new
+            if change < 1e-10:
+                break
+            if it > 300 and change > 1e-4:
+                break
+        if change < 1e-10:
+            results.append(vectors)
+    return results
+
+
+def _oracle_games():
+    games = {}
+    for m in (2, 3, 4):
+        games[f"imbalanced3 m={m}"] = imbalanced_rps3(m)
+        games[f"maximal3 m={m}"] = maximal_rps3(m)
+    for m in (3, 4):
+        games[f"odd-one-out m={m}"] = odd_one_out(m)
+    rng = random.Random(20240607)
+    for m in (2, 3, 4):
+        for n in (2, 3, 4, 5):
+            for copy in range(2):
+                games[f"table m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
+    return games
+
+
+ORACLE_GAMES = _oracle_games()
+
+
+class TestBestResponseOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GAMES))
+    def test_profiles_equal_reference(self, name):
+        rule = ORACLE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=6)
+        seed = sum(map(ord, name))
+        got = _best_response_profiles(rule, cache, config, random.Random(seed))
+        want = reference_best_response_profiles(rule, cache, config, random.Random(seed))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, g in ORACLE_GAMES.items() if g.m * g.n <= 12)
+    )
+    def test_search_equals_reference(self, name, monkeypatch):
+        rule = ORACLE_GAMES[name]
+        config = SearchConfig(seed=sum(map(ord, name)), starts=12)
+        got = search_equilibria(rule, config)
+        monkeypatch.setattr(
+            equilibrium, "_best_response_profiles", reference_best_response_profiles
+        )
+        want = search_equilibria(rule, config)
+        assert got and got == want
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("starts", -1),
+            ("max_iter", 0),
+            ("damping", 0.0),
+            ("damping", 1.5),
+            ("damping", -0.5),
+            ("eps", 0.0),
+            ("eps", -1e-9),
+            ("dedup", 0.0),
+            ("dedup", -1.0),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(GameError, match=field):
+            SearchConfig(seed=1, **{field: value})
+
+    def test_edges_accepted(self):
+        config = SearchConfig(seed=1, starts=0, max_iter=1, damping=1.0)
+        assert config.starts == 0 and config.damping == 1.0
+
+    def test_no_starts_still_searches_symmetric_supports(self):
+        found = search_equilibria(imbalanced_rps3(2), SearchConfig(seed=5, starts=0))
+        assert found and all(p.symmetric for p, _ in found)
 
 
 class TestPlayability:

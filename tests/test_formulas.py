@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,10 +12,23 @@ from rps_forge.formulas import (
     ScenarioError,
     corner_value,
     ev_raw,
-    ev_raw_oracle,
     ev_simplified,
     identity_check,
 )
+
+
+def count_r_probability(r_vec, count):
+    """Probability that exactly ``count`` of these players pick R, by
+    literal enumeration of the player subsets."""
+    idx = range(len(r_vec))
+    total = Fraction(0)
+    for chosen in combinations(idx, count):
+        chosen_set = set(chosen)
+        term = Fraction(1)
+        for j in idx:
+            term *= r_vec[j] if j in chosen_set else 1 - r_vec[j]
+        total += term
+    return total
 
 
 def all_roles_for(t: int):
@@ -104,13 +118,8 @@ class TestRawOracle:
         for role in (Role.MIXER_R, Role.MIXER_P, Role.MIXER_S):
             assert ev_raw(role, 3, 0, (a, b, c), s) == ev_raw(role, 3, 0, (a, c, b), s)
 
-    def test_alias(self):
-        assert ev_raw_oracle(Role.CANDIDATE_S, 2, 0, [Fraction(1, 2)] * 2, Fraction(1, 3)) == ev_raw(
-            Role.CANDIDATE_S, 2, 0, [Fraction(1, 2)] * 2, Fraction(1, 3)
-        )
-
     def test_count_distribution_matches_per_count_enumeration(self):
-        from rps_forge.formulas import _count_r_distribution, _count_r_probability
+        from rps_forge.formulas import _count_r_distribution
 
         rng = random.Random(55)
         for _ in range(10):
@@ -118,7 +127,7 @@ class TestRawOracle:
             dist = _count_r_distribution(vec)
             assert sum(dist) == 1
             for count in range(len(vec) + 1):
-                assert dist[count] == _count_r_probability(vec, count)
+                assert dist[count] == count_r_probability(vec, count)
 
 
 class TestRoutesAgree:
