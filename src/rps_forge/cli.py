@@ -340,6 +340,12 @@ def _verify_formulas(args) -> tuple[dict, bool]:
 
     if args.seed is None:
         raise GameError("formula verification is randomized: --seed is required")
+    if args.count < 1:
+        raise GameError(f"--count must be >= 1, got {args.count}")
+    if args.kmax < 1:
+        raise GameError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.tmax < 0:
+        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
     rng = random.Random(args.seed)
     failures = []
     checked = 0

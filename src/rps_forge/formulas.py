@@ -13,8 +13,9 @@ pure choice for one player class, with the other players as above.  Two
 independent routes are provided:
 
 * ``ev_raw`` evaluates the direct expectation sums, with per-player R
-  probabilities and literal subset enumeration for the tie-count
-  probabilities.  It is the slow, transparent oracle.
+  probabilities.  The tie-count probabilities come from the exact
+  Poisson-binomial recurrence, one mixer at a time, so a call costs
+  O(k^2) rational operations.  It is the transparent oracle.
 * ``ev_simplified`` evaluates closed forms valid when all mixers share
   one probability r.  The two routes agree exactly (rational equality).
 
@@ -33,8 +34,6 @@ from math import comb
 from typing import Sequence
 
 Rational = Fraction | int
-
-MAX_SUBSET_K = 20
 
 
 class ScenarioError(ValueError):
@@ -135,20 +134,19 @@ def ev_simplified(role: Role, sc: Scenario) -> Fraction:
 
 
 def _count_r_distribution(r_vec: Sequence[Fraction]) -> list[Fraction]:
-    """P(exactly j of these players pick R) for j = 0..len, via one pass
-    over all player subsets."""
-    n = len(r_vec)
-    dist = [Fraction(0)] * (n + 1)
-    for mask in range(1 << n):
-        term = Fraction(1)
-        picked = 0
-        for j in range(n):
-            if mask >> j & 1:
-                term *= r_vec[j]
-                picked += 1
-            else:
-                term *= 1 - r_vec[j]
-        dist[picked] += term
+    """P(exactly j of these players pick R) for j = 0..len.
+
+    Poisson-binomial recurrence: after each player with probability r,
+    ``new[j] = dist[j]*(1-r) + dist[j-1]*r``.
+    """
+    dist = [Fraction(1)]
+    for r in r_vec:
+        q = 1 - r
+        new = [d * q for d in dist]
+        new.append(Fraction(0))
+        for j, d in enumerate(dist):
+            new[j + 1] += d * r
+        dist = new
     return dist
 
 
@@ -159,15 +157,13 @@ def ev_raw(
 
     Mixer roles are evaluated for the first mixer (``r_vec[0]``); a
     player's own mixing never enters the payoff of their pure deviation,
-    so only ``r_vec[1:]`` matters for those roles.  Subset enumeration
-    is exponential in k and refuses k > 20.
+    so only ``r_vec[1:]`` matters for those roles.  Any k >= 1 is
+    accepted; the count distribution costs O(k^2) rational operations.
     """
     if len(r_vec) != k:
         raise ScenarioError(f"expected {k} mixer probabilities, got {len(r_vec)}")
     if k < 1:
         raise ScenarioError("need at least one mixer")
-    if k > MAX_SUBSET_K:
-        raise ScenarioError(f"subset enumeration infeasible for k={k} > {MAX_SUBSET_K}")
     _require_committed(role, t)
     rs = [Fraction(x) for x in r_vec]
     s = Fraction(s)

@@ -240,6 +240,27 @@ class TestVerify:
         )
         assert code == EXIT_OK and env["payload"]["failures"] == 0
 
+    def test_formulas_beyond_k_twenty(self, capsys):
+        code, env, _ = run_json(
+            capsys, "verify", "formulas", "--seed", "1", "--count", "3",
+            "--kmax", "30", "--tmax", "30",
+        )
+        assert code == EXIT_OK
+        assert env["payload"]["checked"] == 24
+        assert env["payload"]["failures"] == 0
+
+    def test_formulas_reject_nonpositive_count(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "formulas", "--seed", "1", "--count", "-3")
+        assert code == EXIT_USAGE and "--count" in err
+
+    def test_formulas_reject_nonpositive_kmax(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "formulas", "--seed", "1", "--kmax", "0")
+        assert code == EXIT_USAGE and "--kmax" in err
+
+    def test_formulas_reject_negative_tmax(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "formulas", "--seed", "1", "--tmax", "-1")
+        assert code == EXIT_USAGE and "--tmax" in err
+
     def test_infeasibility_single_pair(self, capsys):
         code, env, _ = run_json(capsys, "verify", "infeasibility", "--k", "2", "--t", "1")
         assert code == EXIT_OK

@@ -92,9 +92,15 @@ class TestRawOracle:
         with pytest.raises(ScenarioError):
             ev_raw(Role.MIXER_R, 3, 0, [Fraction(1, 2)] * 2, Fraction(1, 2))
 
-    def test_scale_guard(self):
-        with pytest.raises(ScenarioError):
-            ev_raw(Role.CANDIDATE_S, 21, 0, [Fraction(1, 2)] * 21, Fraction(1, 2))
+    def test_large_k_matches_closed_forms(self):
+        r, s = Fraction(3, 7), Fraction(2, 5)
+        for k in (21, 40):
+            for t in (0, 3):
+                sc = Scenario(k=k, t=t, r=r, s=s)
+                for role in all_roles_for(t):
+                    assert ev_raw(role, k, t, [r] * k, s) == ev_simplified(role, sc), (
+                        role, k, t,
+                    )
 
     def test_all_p_crowd_pays_candidate_s_everything(self):
         # all mixers on P: the candidate's S beats k+t P-players
@@ -121,13 +127,19 @@ class TestRawOracle:
     def test_count_distribution_matches_per_count_enumeration(self):
         from rps_forge.formulas import _count_r_distribution
 
-        rng = random.Random(55)
-        for _ in range(10):
-            vec = [Fraction(rng.randint(0, 10), 10) for _ in range(rng.randint(1, 6))]
-            dist = _count_r_distribution(vec)
-            assert sum(dist) == 1
-            for count in range(len(vec) + 1):
-                assert dist[count] == count_r_probability(vec, count)
+        assert _count_r_distribution([]) == [1]
+        rng = random.Random(2026)
+        for n in range(13):
+            for _ in range(2):
+                # heterogeneous vectors with exact 0 and 1 entries mixed in
+                vec = [
+                    Fraction(rng.randint(0, 1)) if rng.random() < 0.25
+                    else Fraction(rng.randint(1, 999), rng.randint(1000, 1999))
+                    for _ in range(n)
+                ]
+                dist = _count_r_distribution(vec)
+                assert sum(dist) == 1
+                assert dist == [count_r_probability(vec, c) for c in range(n + 1)], vec
 
 
 class TestRoutesAgree:
@@ -139,6 +151,18 @@ class TestRoutesAgree:
         for _ in range(200):
             k = rng.randint(1, 8)
             t = rng.randint(0, 8)
+            r = Fraction(rng.randint(0, 1000), 1000)
+            s = Fraction(rng.randint(0, 1000), 1000)
+            sc = Scenario(k=k, t=t, r=r, s=s)
+            for role in all_roles_for(t):
+                assert ev_simplified(role, sc) == ev_raw(role, k, t, [r] * k, s), (
+                    role, k, t, r, s,
+                )
+
+    def test_randomized_equivalence_large_k(self):
+        rng = random.Random(20261018)
+        for k in range(13, 31):
+            t = rng.randint(0, 30)
             r = Fraction(rng.randint(0, 1000), 1000)
             s = Fraction(rng.randint(0, 1000), 1000)
             sc = Scenario(k=k, t=t, r=r, s=s)
