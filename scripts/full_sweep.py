@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Opt-in long-running infeasibility sweep over a large (k, t) rectangle.
+"""Opt-in infeasibility sweep over a large (k, t) rectangle.
 
-The default desk-scale gate covers k, t <= 12 and runs in well under a
-minute.  This script pushes the same certificates to k, t <= 50 (or any
-bounds you pass), which takes hours serially; individual pairs near
-k = 50 run for about a minute each, so use --jobs to spread them over
-cores.  Certificates stream to a JSONL file as they finish, so an
-interrupted run keeps its progress.
+The default desk-scale gate covers k, t <= 12 and runs in about a second
+serially.  This script pushes the same certificates to k, t <= 50 (or any
+bounds you pass).  On a 2-vCPU x86-64 host with Python 3.11 the full
+50 x 50 rectangle takes about 6 minutes of CPU, 3.3 minutes of wall time
+with --jobs 2, and no pair takes more than about a second; the pairs with
+k >= 40 take most of it.  Certificates stream to a JSONL file as they
+finish, so an interrupted run keeps its progress.
 
 Example:
 

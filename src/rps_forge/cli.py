@@ -300,6 +300,10 @@ def cmd_imbalance(args) -> tuple[dict, bool]:
 
 
 def _verify_identities(args) -> tuple[dict, bool]:
+    if args.kmax < 1:
+        raise GameError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.tmax < 0:
+        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
     failures = []
     checked = 0
     for k in range(1, args.kmax + 1):
@@ -314,6 +318,10 @@ def _verify_identities(args) -> tuple[dict, bool]:
 
 
 def _verify_corners(args) -> tuple[dict, bool]:
+    if args.kmax < 2:
+        raise GameError(f"--kmax must be >= 2, got {args.kmax}")
+    if args.tmax < 0:
+        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
     failures = []
     checked = 0
     for k in range(2, args.kmax + 1):

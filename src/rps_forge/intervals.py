@@ -1,18 +1,20 @@
 """Outward-rounded interval arithmetic over dyadic rationals.
 
-Endpoints are exact ``Fraction`` values.  Polynomial enclosures are
-computed exactly in Python integers over one common denominator and
-rounded outward onto the 2**-PRECISION_BITS grid once per bound (lower
-endpoints down, upper endpoints up), so every computed interval encloses
-the true range.  No hardware rounding is involved anywhere, which makes
-results reproducible bit-for-bit across platforms.
+Endpoints are exact ``Fraction`` values.  Polynomial enclosures are the
+hull of the exact Bernstein coefficients over the box, computed in
+Python integers over one common denominator and rounded outward onto the
+2**-PRECISION_BITS grid once per bound (lower endpoints down, upper
+endpoints up), so every computed interval encloses the true range.  No
+hardware rounding is involved anywhere, which makes results
+reproducible bit-for-bit across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import comb, gcd, lcm
 from typing import Sequence
 
 PRECISION_BITS = 112
@@ -132,18 +134,22 @@ class Poly2:
         return _horner_exact(self.p0, r) + s * _horner_exact(self.p1, r)
 
     def eval_box(self, r: Interval, s: Interval, bits: int = PRECISION_BITS) -> Interval:
-        """Tight enclosure over a box.
+        """Bernstein enclosure over a box.
 
         The polynomial is linear in s, so its range over the box is the
         hull of the ranges at the two s endpoints.  With the coefficients
         written as N_i / Q and the r side as [A/D, (A+W)/D], p(A/D + v/D)
         equals q(A + v) / (Q D^n) for the integer polynomial
         q(x) = sum N_i D^(n-i) x^i.  q is Taylor-shifted by A (exact
-        synthetic division in integers) and bounded monomial by monomial
-        over v in [0, W]; with v nonnegative each monomial's range is
-        known exactly, which avoids the dependency loss of plain interval
-        Horner on wide boxes.  Each s endpoint S/E gives exact bounds over
-        the denominator Q D^n E, rounded outward once.
+        synthetic division in integers) to coefficients c_i in v over
+        [0, W].  With a_i = c_i W^i, the degree-n Bernstein coefficients
+        on u = v/W in [0, 1] are b_j = sum_{i<=j} C(j,i)/C(n,i) a_i, and
+        the range lies between min b_j and max b_j.  Reversing a and
+        Taylor-shifting it by 1 gives C(n, j) b_j at index n - j, using
+        additions only.  Each b_j carries a weight C(j,i)/C(n,i) in
+        [0, 1] on a_i, so these bounds are never looser than summing the
+        monomial ranges.  Each s endpoint S/E gives exact bounds over the
+        denominator Q D^n E, and the hull is rounded outward once.
         """
         if self._integer_form is None:
             self._integer_form = _integer_form(self.p0, self.p1)
@@ -157,30 +163,31 @@ class Poly2:
         dpow = [1]
         for _ in range(n):
             dpow.append(dpow[-1] * d)
-        shifted0 = _taylor_shift([c * dpow[n - i] for i, c in enumerate(num0)], a)
+        wpow = [1]
+        for _ in range(n):
+            wpow.append(wpow[-1] * w)
+        scale, lcm_binom = _bernstein_scale(n)
+
+        def bernstein(num):
+            # L * b_j for j = n..0, with L the lcm of the C(n, j)
+            shifted = _taylor_shift([c * dpow[n - i] for i, c in enumerate(num)], a)
+            rev = _taylor_shift([c * wp for c, wp in zip(reversed(shifted), reversed(wpow))], 1)
+            return [c * f for c, f in zip(rev, scale)]
+
+        b0 = bernstein(num0)
         if self.p1:
-            shifted1 = _taylor_shift([c * dpow[n - i] for i, c in enumerate(num1)], a)
+            b1 = bernstein(num1)
             corners = []
             for e in (s.lo,) if s.lo == s.hi else (s.lo, s.hi):
                 sn, sd = e.numerator, e.denominator
-                corners.append(([sd * c0 + sn * c1 for c0, c1 in zip(shifted0, shifted1)], sd))
+                corners.append(([sd * c0 + sn * c1 for c0, c1 in zip(b0, b1)], sd))
         else:
-            corners = [(shifted0, 1)]
-        wpows = [w]
-        for _ in range(n - 1):
-            wpows.append(wpows[-1] * w)
+            corners = [(b0, 1)]
         lo = hi = None
         for coeffs, sd in corners:
-            clo = chi = coeffs[0]
-            for c, wp in zip(coeffs[1:], wpows):
-                term = c * wp
-                if term > 0:
-                    chi += term
-                else:
-                    clo += term
-            full = q * dpow[n] * sd
-            clo = (clo << bits) // full
-            chi = -((-chi << bits) // full)
+            full = q * dpow[n] * sd * lcm_binom
+            clo = (min(coeffs) << bits) // full
+            chi = -((-max(coeffs) << bits) // full)
             lo = clo if lo is None else min(lo, clo)
             hi = chi if hi is None else max(hi, chi)
         return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
@@ -248,8 +255,15 @@ def _taylor_shift(c: list[int], a: int) -> list[int]:
     return c
 
 
+@cache
+def _bernstein_scale(n: int) -> tuple[tuple[int, ...], int]:
+    """The factors L / C(n, j) that put the degree-n Bernstein
+    coefficients over one denominator, and L, the lcm of C(n, 0..n)."""
+    binoms = [comb(n, j) for j in range(n + 1)]
+    common = lcm(*binoms)
+    return tuple(common // c for c in binoms), common
+
+
 def one_minus_r_power(power: int) -> list[Fraction]:
     """Coefficients of (1 - r)**power."""
-    from math import comb
-
     return [Fraction((-1) ** i * comb(power, i)) for i in range(power + 1)]

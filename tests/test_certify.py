@@ -100,7 +100,8 @@ class TestIntervalSoundness:
 
     def test_box_enclosure_exact_for_nonnegative_shifted_coefficients(self):
         # r^3 over [1/4, 1/2]: every shifted coefficient is nonnegative,
-        # so the monomial bounds give the true range exactly
+        # so the Bernstein coefficients rise from p(1/4) to p(1/2) and
+        # the bounds are the true range exactly
         poly = Poly2([Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
         box = Interval(Fraction(1, 4), Fraction(1, 2))
         enc = poly.eval_box(box, Interval.point(0))

@@ -261,6 +261,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "formulas", "--seed", "1", "--tmax", "-1")
         assert code == EXIT_USAGE and "--tmax" in err
 
+    def test_identities_reject_nonpositive_kmax(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "identities", "--kmax", "0")
+        assert code == EXIT_USAGE and "--kmax" in err
+
+    def test_identities_reject_negative_tmax(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "identities", "--tmax", "-1")
+        assert code == EXIT_USAGE and "--tmax" in err
+
+    def test_corners_reject_kmax_below_two(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "corners", "--kmax", "1")
+        assert code == EXIT_USAGE and "--kmax" in err
+
+    def test_corners_reject_negative_tmax(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "corners", "--tmax", "-1")
+        assert code == EXIT_USAGE and "--tmax" in err
+
     def test_infeasibility_single_pair(self, capsys):
         code, env, _ = run_json(capsys, "verify", "infeasibility", "--k", "2", "--t", "1")
         assert code == EXIT_OK
@@ -268,7 +284,7 @@ class TestVerify:
         assert env["payload"]["delta"] == "0.000001"
 
     def test_undecided_certificate_exits_nonzero(self, capsys):
-        # this pair needs subdivision depth around 7; depth 2 leaves
+        # this pair needs subdivision depth around 5; depth 2 leaves
         # surviving boxes, so the verdict is undecided and the exit is 1
         code, env, _ = run_json(
             capsys, "verify", "infeasibility", "--k", "5", "--t", "5", "--depth", "2"

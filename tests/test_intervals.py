@@ -1,13 +1,17 @@
-"""The integer enclosure kernel against an independent ``Fraction`` oracle.
+"""The integer Bernstein kernel against independent ``Fraction`` oracles.
 
-``reference_eval_box`` is the straightforward rational evaluator: Taylor
-shift and monomial bounds in exact ``Fraction`` arithmetic, then one
-outward rounding of the hull.  ``Poly2.eval_box`` must return the very
-same interval, bound for bound, on every box a certificate examines and
-on arbitrary rational boxes.
+``bernstein_reference_eval_box`` is the straightforward rational
+evaluator: Taylor shift in exact ``Fraction`` arithmetic, the Bernstein
+coefficients from their explicit sum, then one outward rounding of the
+hull.  ``Poly2.eval_box`` must return the very same interval, bound for
+bound, on every box a certificate examines and on arbitrary rational
+boxes.  ``reference_eval_box`` bounds the shifted monomials instead; the
+Bernstein interval must always lie inside it, so no box the monomial
+bounds prune can survive.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +76,32 @@ def reference_eval_box(poly, r, s, bits=PRECISION_BITS):
     return Interval(lo, hi).outward(bits)
 
 
+def bernstein_reference_eval_box(poly, r, s, bits=PRECISION_BITS):
+    """The hull of the exact degree-n Bernstein coefficients
+    b_j = sum_{i<=j} C(j,i)/C(n,i) a_i at each s endpoint, with
+    a_i = c_i W^i for the coefficients c_i shifted to r.lo and W the
+    width of r, rounded outward once."""
+    n = poly.degree_r
+    if n < 0:
+        return Interval.point(0)
+    shifted0 = _taylor_shift(poly.p0, r.lo)
+    shifted1 = _taylor_shift(poly.p1, r.lo) if poly.p1 else []
+    width = r.width()
+    corners = (s.lo,) if (not shifted1 or s.lo == s.hi) else (s.lo, s.hi)
+    lo = hi = None
+    for sv in corners:
+        coeffs = _add(shifted0, [sv * c for c in shifted1])
+        coeffs += [Fraction(0)] * (n + 1 - len(coeffs))
+        a = [c * width**i for i, c in enumerate(coeffs)]
+        b = [
+            sum(Fraction(comb(j, i), comb(n, i)) * a[i] for i in range(j + 1))
+            for j in range(n + 1)
+        ]
+        lo = min(b) if lo is None else min(lo, min(b))
+        hi = max(b) if hi is None else max(hi, max(b))
+    return Interval(lo, hi).outward(bits)
+
+
 def _recorded_enclosures(monkeypatch, k, t):
     calls = []
     kernel = Poly2.eval_box
@@ -87,14 +117,35 @@ def _recorded_enclosures(monkeypatch, k, t):
     return cert, calls
 
 
+def _inside(inner, outer):
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 @pytest.mark.parametrize("k, t", [(3, 2), (5, 0), (10, 5)])
 def test_certificate_enclosures_match_reference(monkeypatch, k, t):
     cert, calls = _recorded_enclosures(monkeypatch, k, t)
     assert cert.proved_empty
     assert len(calls) >= cert.boxes
     for poly, r, s, bits, enc in calls:
-        ref = reference_eval_box(poly, r, s, bits)
+        ref = bernstein_reference_eval_box(poly, r, s, bits)
         assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (poly, r, s)
+
+
+@pytest.mark.parametrize("k, t", [(3, 2), (10, 5), (12, 6), (14, 7)])
+def test_certificate_enclosures_inside_monomial_bounds(monkeypatch, k, t):
+    cert, calls = _recorded_enclosures(monkeypatch, k, t)
+    assert cert.proved_empty
+    for poly, r, s, bits, enc in calls:
+        assert _inside(enc, reference_eval_box(poly, r, s, bits)), (poly, r, s)
+
+
+@pytest.mark.parametrize("k, t", [(3, 2), (10, 5), (12, 6)])
+def test_monomial_bounds_never_need_fewer_boxes(monkeypatch, k, t):
+    bernstein = infeasibility_certificate(k, t)
+    monkeypatch.setattr(Poly2, "eval_box", reference_eval_box)
+    monomial = infeasibility_certificate(k, t)
+    assert monomial.verdict is bernstein.verdict
+    assert monomial.boxes >= bernstein.boxes
 
 
 rationals = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**6)
@@ -120,12 +171,50 @@ def intervals(draw):
 def test_random_boxes_match_reference(p0, p1, r, s, bits):
     poly = Poly2(p0, p1)
     enc = poly.eval_box(r, s, bits)
-    ref = reference_eval_box(poly, r, s, bits)
+    ref = bernstein_reference_eval_box(poly, r, s, bits)
     assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+    assert _inside(enc, reference_eval_box(poly, r, s, bits))
+
+
+EDGE_R = Interval(Fraction(-2, 3), Fraction(5, 4))
+EDGE_S = Interval(Fraction(1, 7), Fraction(3, 5))
+EDGE_POLY = Poly2(
+    [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(7, 5)],
+    [Fraction(-1), Fraction(3, 2)],
+)
+POINT_R = Interval.point(Fraction(3, 8))
+POINT_S = Interval.point(Fraction(2, 9))
+BITS = PRECISION_BITS
+
+
+@pytest.mark.parametrize(
+    "poly, r, s, bits",
+    [
+        pytest.param(Poly2.constant(Fraction(-5, 3)), EDGE_R, EDGE_S, BITS, id="constant"),
+        pytest.param(EDGE_POLY, POINT_R, EDGE_S, BITS, id="point-r"),
+        pytest.param(Poly2(EDGE_POLY.p0), EDGE_R, EDGE_S, BITS, id="empty-p1"),
+        pytest.param(EDGE_POLY, EDGE_R, POINT_S, BITS, id="point-s"),
+        pytest.param(EDGE_POLY, EDGE_R, EDGE_S, 0, id="bits-0"),
+    ],
+)
+def test_edge_cases_match_reference(poly, r, s, bits):
+    enc = poly.eval_box(r, s, bits)
+    ref = bernstein_reference_eval_box(poly, r, s, bits)
+    assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+    assert _inside(enc, reference_eval_box(poly, r, s, bits))
+    corner = poly.eval_exact(r.lo, s.lo)
+    assert enc.contains(corner)
+
+
+def test_point_box_rounds_the_exact_value():
+    value = EDGE_POLY.eval_exact(POINT_R.lo, POINT_S.lo)
+    enc = EDGE_POLY.eval_box(POINT_R, POINT_S)
+    assert enc == Interval.point(value).outward()
 
 
 def test_zero_polynomial_encloses_zero_only():
     box = Interval(Fraction(-1, 3), Fraction(2, 7))
     assert Poly2().eval_box(box, box) == Interval.point(0)
     assert reference_eval_box(Poly2(), box, box) == Interval.point(0)
+    assert bernstein_reference_eval_box(Poly2(), box, box) == Interval.point(0)
 
