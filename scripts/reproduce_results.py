@@ -80,8 +80,8 @@ def main() -> int:
     start = time.perf_counter()
     report = sweep(args.sweep_kmax, args.sweep_tmax, jobs=args.jobs)
     elapsed = time.perf_counter() - start
-    verdicts = [c.proved_empty for c in report.certificates]
-    boxes = sum(c.boxes for c in report.certificates)
+    verdicts = [r["verdict"] == "proved_empty" for r in report.records]
+    boxes = sum(r["boxes"] for r in report.records)
     print(
         f"infeasibility sweep k<={args.sweep_kmax}, t<={args.sweep_tmax}: "
         f"{sum(verdicts)}/{len(verdicts)} proved empty, {boxes} boxes, "

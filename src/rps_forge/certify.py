@@ -16,6 +16,7 @@ reported, never glossed over.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import time
 from dataclasses import dataclass
@@ -296,30 +297,56 @@ def infeasibility_certificate(
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Aggregated certificates over a (k, t) rectangle."""
+    """Certificate records (``to_record`` dicts) over a (k, t) rectangle,
+    in (k, t) order; ``skipped`` lists the requested pairs without one."""
 
     k_max: int
     t_max: int
     delta: Fraction
-    certificates: tuple[InfeasibilityCertificate, ...]
+    records: tuple[dict, ...]
     incomplete: bool
     skipped: tuple[tuple[int, int], ...]
-    total_millis: float
 
     @property
     def all_proved(self) -> bool:
-        return (
-            not self.incomplete
-            and all(c.proved_empty for c in self.certificates)
+        return not self.incomplete and all(
+            r["verdict"] == Verdict.PROVED_EMPTY.value for r in self.records
         )
 
-    def to_records(self) -> list[dict]:
-        return [c.to_record() for c in self.certificates]
 
-
-def _certificate_worker(args: tuple) -> InfeasibilityCertificate:
+def _certificate_worker(args: tuple) -> dict:
     k, t, delta, max_depth = args
-    return infeasibility_certificate(k, t, delta=delta, max_depth=max_depth)
+    return infeasibility_certificate(k, t, delta=delta, max_depth=max_depth).to_record()
+
+
+def _read_stream(path: str, delta: str) -> dict[tuple[int, int], dict]:
+    """The records of an existing sweep stream, keyed by (k, t)."""
+    import json
+
+    verdicts = {v.value for v in Verdict}
+    done: dict[tuple[int, int], dict] = {}
+    try:
+        fh = open(path)
+    except FileNotFoundError:
+        return done
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                key = (rec["k"], rec["t"])
+                ok = all(type(x) is int for x in key) and rec["verdict"] in verdicts
+                found = rec["delta"]
+            except (ValueError, KeyError, TypeError):
+                ok = False
+            if not ok:
+                raise ScenarioError(f"{path}:{lineno}: malformed sweep record")
+            if found != delta:
+                raise ScenarioError(
+                    f"{path}:{lineno}: record has delta {found}, "
+                    f"the sweep asks for {delta}"
+                )
+            done[key] = rec
+    return done
 
 
 def sweep(
@@ -329,50 +356,56 @@ def sweep(
     max_depth: int = 40,
     budget_seconds: float = 600.0,
     jobs: int = 1,
+    stream: str | None = None,
 ) -> SweepReport:
     """Run certificates for every 1 <= k <= k_max, 0 <= t <= t_max.
 
-    Pairs are independent; with ``jobs`` > 1 they run in a process pool
-    and are merged back in (k, t) order.  If the wall-clock budget runs
-    out, the report is flagged incomplete and lists the skipped pairs.
+    Pairs are independent; with ``jobs`` > 1 they run in a process pool.
+    The wall-clock budget is checked after each finished pair; once it
+    runs out, the report is flagged incomplete and lists the skipped
+    pairs.  With ``stream``, each finished record is appended to that
+    file as one JSON line and flushed.  If the file already exists, the
+    pairs it holds are not run again and their records enter the report,
+    so rerunning an interrupted sweep resumes it; records for pairs
+    outside the rectangle stay in the file and out of the report.
     """
     if k_max < 1 or t_max < 0:
         raise ScenarioError("need k_max >= 1 and t_max >= 0")
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     delta = Fraction(delta)
     pairs = [(k, t) for k in range(1, k_max + 1) for t in range(0, t_max + 1)]
+    done = _read_stream(stream, decimal_string(delta)) if stream else {}
+    todo = [(k, t, delta, max_depth) for k, t in pairs if (k, t) not in done]
     start = time.perf_counter()
-    done: dict[tuple[int, int], InfeasibilityCertificate] = {}
-    skipped: list[tuple[int, int]] = []
+    with contextlib.ExitStack() as stack:
+        if stream:
+            import json
 
-    if jobs > 1:
-        import multiprocessing as mp
+            sink = stack.enter_context(open(stream, "a"))
+        if jobs > 1:
+            import multiprocessing as mp
 
-        with mp.Pool(processes=jobs) as pool:
-            it = pool.imap_unordered(
-                _certificate_worker, [(k, t, delta, max_depth) for k, t in pairs]
-            )
-            for cert in it:
-                done[(cert.k, cert.t)] = cert
-                if time.perf_counter() - start > budget_seconds:
-                    pool.terminate()
-                    break
-        skipped = [p for p in pairs if p not in done]
-    else:
-        for k, t in pairs:
+            pool = stack.enter_context(mp.Pool(processes=jobs))
+            results = pool.imap_unordered(_certificate_worker, todo)
+        else:
+            results = map(_certificate_worker, todo)
+        for rec in results:
+            done[(rec["k"], rec["t"])] = rec
+            if stream:
+                sink.write(json.dumps(rec) + "\n")
+                sink.flush()
             if time.perf_counter() - start > budget_seconds:
-                skipped.append((k, t))
-                continue
-            done[(k, t)] = infeasibility_certificate(k, t, delta=delta, max_depth=max_depth)
+                break
 
-    certs = tuple(done[p] for p in pairs if p in done)
+    skipped = tuple(p for p in pairs if p not in done)
     return SweepReport(
         k_max=k_max,
         t_max=t_max,
         delta=delta,
-        certificates=certs,
+        records=tuple(done[p] for p in pairs if p in done),
         incomplete=bool(skipped),
-        skipped=tuple(sorted(skipped)),
-        total_millis=(time.perf_counter() - start) * 1000.0,
+        skipped=skipped,
     )
 
 

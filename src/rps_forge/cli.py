@@ -392,16 +392,18 @@ def _verify_sweep(args) -> tuple[dict, bool]:
         args.kmax,
         args.tmax,
         delta=Fraction(args.delta),
+        max_depth=args.depth,
         budget_seconds=args.budget,
         jobs=args.jobs,
+        stream=args.stream,
     )
     payload = {
-        "pairs": len(report.certificates),
+        "pairs": len(report.records),
         "all_proved_empty": report.all_proved,
         "incomplete": report.incomplete,
         "skipped": [list(p) for p in report.skipped],
         "delta": decimal_string(report.delta),
-        "records": report.to_records(),
+        "records": list(report.records),
     }
     return payload, report.all_proved
 
@@ -456,7 +458,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
     payload["passed"] = ok
     echoed = (
         "check", "kmax", "tmax", "k", "t", "m", "delta",
-        "seed", "jobs", "count", "depth", "budget",
+        "seed", "jobs", "count", "depth", "budget", "stream",
     )
     config = {key: getattr(args, key) for key in echoed if hasattr(args, key)}
     return _envelope("verify", config, payload), ok
@@ -536,6 +538,10 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--count", type=int, default=200)
     v.add_argument("--budget", type=float, default=600.0)
     v.add_argument("--jobs", type=int, default=_default_jobs())
+    v.add_argument(
+        "--stream", default=None, metavar="FILE",
+        help="sweep: append each record to FILE as a JSON line; an existing FILE resumes",
+    )
     v.set_defaults(fn=cmd_verify)
 
     return parser

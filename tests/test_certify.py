@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -194,18 +195,21 @@ class TestCertificates:
         assert feasible_relaxations >= 1  # the mutation set must bite
 
 
+def without_millis(records):
+    return [{key: v for key, v in r.items() if key != "millis"} for r in records]
+
+
 class TestSweep:
     def test_tiny_sweep(self):
         report = sweep(1, 0)
-        assert len(report.certificates) == 1
+        assert len(report.records) == 1
         assert report.all_proved and not report.incomplete
 
     def test_small_rectangle(self):
         report = sweep(3, 3)
-        assert len(report.certificates) == 4 * 3
+        assert len(report.records) == 4 * 3
         assert report.all_proved
-        records = report.to_records()
-        assert [(r["k"], r["t"]) for r in records] == [
+        assert [(r["k"], r["t"]) for r in report.records] == [
             (k, t) for k in range(1, 4) for t in range(0, 4)
         ]
 
@@ -218,12 +222,62 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         serial = sweep(2, 2)
         parallel = sweep(2, 2, jobs=2)
-        assert [c.to_record()["verdict"] for c in serial.certificates] == [
-            c.to_record()["verdict"] for c in parallel.certificates
+        assert without_millis(serial.records) == without_millis(parallel.records)
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ScenarioError, match="jobs"):
+            sweep(1, 0, jobs=0)
+
+    def test_stream_resumes_an_exhausted_budget(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        first = sweep(3, 3, budget_seconds=0.0, stream=path)
+        assert first.incomplete and len(first.records) == 1
+        resumed = sweep(3, 3, stream=path)
+        assert resumed.all_proved
+        assert without_millis(resumed.records) == without_millis(sweep(3, 3).records)
+        lines = [json.loads(line) for line in open(path)]
+        assert sorted((r["k"], r["t"]) for r in lines) == [
+            (k, t) for k in range(1, 4) for t in range(0, 4)
         ]
-        assert [(c.k, c.t, c.boxes) for c in serial.certificates] == [
-            (c.k, c.t, c.boxes) for c in parallel.certificates
-        ]
+        # the resumed report carries the file's records, millis included
+        assert sorted(lines, key=lambda r: (r["k"], r["t"])) == list(resumed.records)
+
+    def test_larger_stream_leaves_smaller_report_unaffected(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        sweep(3, 3, stream=str(path))
+        text = path.read_text()
+        report = sweep(2, 1, stream=str(path))
+        assert path.read_text() == text  # nothing was run again
+        assert not report.incomplete and report.all_proved
+        assert without_millis(report.records) == without_millis(sweep(2, 1).records)
+
+    def test_stream_with_undecided_record_is_not_rerun(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        record = infeasibility_certificate(5, 5, max_depth=2).to_record()
+        assert record["verdict"] == "undecided"
+        path.write_text(json.dumps(record) + "\n")
+        report = sweep(5, 5, stream=str(path))
+        assert not report.incomplete and not report.all_proved
+        assert report.records[-1] == record
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "malformed"),
+            ("[1, 0]", "malformed"),
+            ('{"k": 1, "t": 0}', "malformed"),
+            ('{"k": 1, "t": 0, "verdict": "proved_empty"}', "malformed"),
+            ('{"k": "1", "t": 0, "verdict": "proved_empty", "delta": "0.000001"}', "malformed"),
+            ('{"k": 1, "t": 0, "verdict": "proved_empty", "delta": "0.001"}', "delta 0.001"),
+        ],
+    )
+    def test_bad_stream_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "sweep.jsonl"
+        good = sweep(1, 0).records[0]
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        with pytest.raises(ScenarioError, match=message) as info:
+            sweep(1, 1, stream=str(path))
+        assert f"{path}:2" in str(info.value)
 
 
 class TestDecimalString:

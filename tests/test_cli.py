@@ -309,6 +309,51 @@ class TestVerify:
         assert env["payload"]["incomplete"] is True
         assert env["payload"]["skipped"]
 
+    def test_sweep_honours_depth(self, capsys):
+        # (12, 12) alone is undecided at depth 2, so the sweep must be too
+        code, env, _ = run_json(
+            capsys, "verify", "sweep", "--kmax", "12", "--tmax", "12", "--depth", "2"
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert env["payload"]["all_proved_empty"] is False
+        assert max(r["depth"] for r in env["payload"]["records"]) <= 2
+
+    def test_sweep_rejects_nonpositive_jobs(self, capsys):
+        code, _, err = run_json(
+            capsys, "verify", "sweep", "--kmax", "1", "--tmax", "0", "--jobs", "0"
+        )
+        assert code == EXIT_USAGE
+        assert "jobs" in err
+
+    def test_sweep_stream_lines_are_the_records(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        code, env, _ = run_json(
+            capsys, "verify", "sweep", "--kmax", "2", "--tmax", "2",
+            "--stream", str(path),
+        )
+        assert code == EXIT_OK
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines.sort(key=lambda r: (r["k"], r["t"]))
+        assert lines == env["payload"]["records"]
+        assert env["config"]["stream"] == str(path)
+
+    def test_sweep_stream_delta_mismatch_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        argv = ("verify", "sweep", "--kmax", "1", "--tmax", "0", "--stream", str(path))
+        assert run_json(capsys, *argv)[0] == EXIT_OK
+        code, _, err = run_json(capsys, *argv, "--delta", "1e-3")
+        assert code == EXIT_USAGE
+        assert f"{path}:1" in err and "delta" in err
+
+    def test_sweep_stream_malformed_line_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text('{"k": 1, "t": 0, "verdict": "proved_empty"\n')
+        code, _, err = run_json(
+            capsys, "verify", "sweep", "--kmax", "1", "--tmax", "0", "--stream", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert f"{path}:1" in err and "malformed" in err
+
     def test_conjecture2_twenty_players(self, capsys):
         code, env, _ = run_json(capsys, "verify", "conjecture2", "--m", "20", "--k", "1")
         assert code == EXIT_OK
