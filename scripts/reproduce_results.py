@@ -31,6 +31,12 @@ def main() -> int:
     parser.add_argument("--sweep-tmax", type=int, default=12)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.sweep_kmax < 1:
+        parser.error(f"--sweep-kmax must be >= 1, got {args.sweep_kmax}")
+    if args.sweep_tmax < 0:
+        parser.error(f"--sweep-tmax must be >= 0, got {args.sweep_tmax}")
 
     print("symmetric equilibria of the imbalanced three-object game")
     print(f"{'m':>4} {'P(R)':>10} {'P(P)':>10} {'P(S)':>10} {'gap':>10}")

@@ -298,7 +298,8 @@ def infeasibility_certificate(
 @dataclass(frozen=True)
 class SweepReport:
     """Certificate records (``to_record`` dicts) over a (k, t) rectangle,
-    in (k, t) order; ``skipped`` lists the requested pairs without one."""
+    in (k, t) order; ``skipped`` lists the requested pairs the budget left
+    unrun: those without a record, and held ``undecided`` ones."""
 
     k_max: int
     t_max: int
@@ -364,10 +365,13 @@ def sweep(
     The wall-clock budget is checked after each finished pair; once it
     runs out, the report is flagged incomplete and lists the skipped
     pairs.  With ``stream``, each finished record is appended to that
-    file as one JSON line and flushed.  If the file already exists, the
-    pairs it holds are not run again and their records enter the report,
-    so rerunning an interrupted sweep resumes it; records for pairs
-    outside the rectangle stay in the file and out of the report.
+    file as one JSON line and flushed.  If the file already exists, its
+    records enter the report, the last line for a pair winning.  Pairs it
+    holds as ``proved_empty`` are not run again, so rerunning an
+    interrupted sweep resumes it; pairs it holds as ``undecided`` are
+    run again at ``max_depth`` and the new record is appended.  Records
+    for pairs outside the rectangle stay in the file and out of the
+    report.
     """
     if k_max < 1 or t_max < 0:
         raise ScenarioError("need k_max >= 1 and t_max >= 0")
@@ -376,7 +380,9 @@ def sweep(
     delta = Fraction(delta)
     pairs = [(k, t) for k in range(1, k_max + 1) for t in range(0, t_max + 1)]
     done = _read_stream(stream, decimal_string(delta)) if stream else {}
-    todo = [(k, t, delta, max_depth) for k, t in pairs if (k, t) not in done]
+    proved = Verdict.PROVED_EMPTY.value
+    pending = {p for p in pairs if p not in done or done[p]["verdict"] != proved}
+    todo = [(k, t, delta, max_depth) for k, t in pairs if (k, t) in pending]
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
         if stream:
@@ -391,14 +397,16 @@ def sweep(
         else:
             results = map(_certificate_worker, todo)
         for rec in results:
-            done[(rec["k"], rec["t"])] = rec
+            key = (rec["k"], rec["t"])
+            done[key] = rec
+            pending.discard(key)
             if stream:
                 sink.write(json.dumps(rec) + "\n")
                 sink.flush()
             if time.perf_counter() - start > budget_seconds:
                 break
 
-    skipped = tuple(p for p in pairs if p not in done)
+    skipped = tuple(p for p in pairs if p in pending)
     return SweepReport(
         k_max=k_max,
         t_max=t_max,

@@ -200,24 +200,27 @@ def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:
     For object ``o``: the exact expectation, over the ``n**(m-1)`` equally
     likely opponent choice vectors, of the payoff to a player choosing
     ``o``.  The results sum to zero exactly.
+
+    Each full multiset of ``m`` choices is evaluated once.  Removing one
+    ``o`` from a multiset of weight ``W`` leaves an opponent multiset of
+    weight ``W * c_o / m``.  Scaled by ``m``, each object present thus
+    gains ``W * c_o`` times its payoff: ``-W * c_o`` for a loser, and
+    ``W * (m - c_w) = -W * c_w + W * m`` for a winner with ``c_w``
+    copies.  The sums are integers over the common denominator
+    ``m * n**(m-1)``.
     """
     m, n = rule.m, rule.n
-    denom = n ** (m - 1)
-    result = []
-    for o in range(n):
-        acc = Fraction(0)
-        for counts, weight in enumerate_multisets(n, m - 1):
-            combined = list(counts)
-            combined[o] += 1
-            out = eval_outcome(rule, combined)
-            if out.is_tie:
-                continue
-            if out.winner == o:
-                acc += weight * tie_payoff(m, out.winner_count)
-            else:
-                acc -= weight
-        result.append(acc / denom)
-    return result
+    acc = [0] * n
+    for counts, weight in enumerate_multisets(n, m):
+        out = eval_outcome(rule, counts)
+        if out.is_tie:
+            continue
+        for o, c in enumerate(counts):
+            if c:
+                acc[o] -= weight * c
+        acc[out.winner] += weight * m
+    denom = m * n ** (m - 1)
+    return [Fraction(a, denom) for a in acc]
 
 
 @dataclass(frozen=True)

@@ -120,18 +120,38 @@ class NashGapReport:
 
 
 def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
-    """How much any player could gain by deviating to a pure strategy."""
+    """How much any player could gain by deviating to a pure strategy.
+
+    Within one call each (object, opponent counts) payoff is evaluated
+    once, and a player whose ordered opponent vectors equal an earlier
+    player's, entry types included, reuses that player's payoff vector.
+    So a symmetric profile builds one count distribution, and the float
+    operations, and hence the report, are those of evaluating every
+    player on their own.
+    """
+    pay: dict[tuple[int, ...], tuple[float, ...]] = {}
+    seen: dict[tuple, list[float]] = {}
     per_player: list[tuple[float, ...]] = []
     gaps: list[float] = []
     for i in range(profile.m):
         others = [v for j, v in enumerate(profile.vectors) if j != i]
-        dist = choice_count_distribution(others, rule.n)
-        u = []
-        for o in range(rule.n):
-            tot = 0.0
-            for counts, pr in dist.items():
-                tot += float(pr) * float(_payoff_against(rule, o, counts))
-            u.append(tot)
+        key = tuple(tuple((type(p), p) for p in v) for v in others)
+        u = seen.get(key)
+        if u is None:
+            terms = []
+            for counts, pr in choice_count_distribution(others, rule.n).items():
+                if counts not in pay:
+                    pay[counts] = tuple(
+                        float(_payoff_against(rule, o, counts)) for o in range(rule.n)
+                    )
+                terms.append((float(pr), pay[counts]))
+            u = []
+            for o in range(rule.n):
+                tot = 0.0
+                for pr, row in terms:
+                    tot += pr * row[o]
+                u.append(tot)
+            seen[key] = u
         current = sum(float(p) * uo for p, uo in zip(profile.vectors[i], u))
         gaps.append(max(0.0, max(u) - current))
         per_player.append(tuple(u))

@@ -22,7 +22,11 @@ independent routes are provided:
 The closed forms rest on two alternating binomial identities whose sums
 ``identity_check`` evaluates exactly, and the step that forces all
 mixers to share one probability rests on corner sums whose strict
-negativity ``corner_value`` certifies; both are exposed for audit.
+negativity ``corner_value`` certifies; both are exposed for audit.  Each
+of their explicit sums adds integer numerators over one common
+denominator, the lcm of its term denominators or, at the s = 0 corner,
+(k+t)!, and makes a single ``Fraction``, which is then compared with the
+closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Sequence
 
 Rational = Fraction | int
@@ -217,6 +221,16 @@ def ev_raw(
     raise ScenarioError(f"unknown role {role!r}")
 
 
+def _common_denominator_sum(terms: Sequence[tuple[int, int]]) -> Fraction:
+    """Exact sum of the fractions ``num/den`` given as integer pairs: the
+    numerators are added over the lcm of the denominators, built pairwise,
+    and one ``Fraction`` is made at the end."""
+    den = 1
+    for _, d in terms:
+        den = lcm(den, d)
+    return Fraction(sum(num * (den // d) for num, d in terms), den)
+
+
 def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
     """Exactly evaluate the two alternating binomial sums behind the
     closed forms and compare them with their closed values.
@@ -242,23 +256,16 @@ def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
         raise ScenarioError(f"committed player count must be >= 0, got {t}")
     m = k + t + 1
 
-    sum1 = sum(
-        (
-            Fraction(m - (kk + 1), kk + 1) * (-1) ** kk * comb(b, kk)
-            for kk in range(b + 1)
-        ),
-        Fraction(0),
+    sum1 = _common_denominator_sum(
+        [((m - (kk + 1)) * (-1) ** kk * comb(b, kk), kk + 1) for kk in range(b + 1)]
     )
     closed1 = Fraction(m, 1 + b) - (1 if b == 0 else 0)
 
-    sum2 = sum(
-        (
-            Fraction(k - kk - 1, kk + t + 2)
-            * (-1) ** (b - (k - 1) + kk)
-            * comb(b, (k - 1) - kk)
+    sum2 = _common_denominator_sum(
+        [
+            ((k - kk - 1) * (-1) ** (b - (k - 1) + kk) * comb(b, (k - 1) - kk), kk + t + 2)
             for kk in range(k - 1 - b, k)
-        ),
-        Fraction(0),
+        ]
     )
     closed2 = Fraction(1, comb(k + t, b)) if b >= 1 else Fraction(0)
 
@@ -287,14 +294,18 @@ def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
     if t < 0:
         raise ScenarioError(f"committed player count must be >= 0, got {t}")
     m = k + t + 1
-    s = Fraction(s_corner)
-    total = Fraction(0)
-    for b in range(1, l + 2):
-        coeff = s * (-1) ** b * Fraction(m, 1 + b) - (1 - s) * Fraction(1, comb(k + t, b))
-        total += coeff * comb(l, b - 1)
     if s_corner == 0:
+        # (k+t)!/C(k+t, b) = b!(k+t-b)!, so (k+t)! is a common denominator.
+        n = k + t
+        total = Fraction(
+            -sum(factorial(b) * factorial(n - b) * comb(l, b - 1) for b in range(1, l + 2)),
+            factorial(n),
+        )
         closed = Fraction(-m, (k + t - l) * (k + t + 1 - l))
     else:
+        total = _common_denominator_sum(
+            [((-1) ** b * m * comb(l, b - 1), 1 + b) for b in range(1, l + 2)]
+        )
         closed = Fraction(-m, (1 + l) * (2 + l))
     if total != closed:
         raise ScenarioError(

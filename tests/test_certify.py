@@ -251,14 +251,33 @@ class TestSweep:
         assert not report.incomplete and report.all_proved
         assert without_millis(report.records) == without_millis(sweep(2, 1).records)
 
-    def test_stream_with_undecided_record_is_not_rerun(self, tmp_path):
+    def test_stream_reruns_undecided_record_at_requested_depth(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         record = infeasibility_certificate(5, 5, max_depth=2).to_record()
         assert record["verdict"] == "undecided"
         path.write_text(json.dumps(record) + "\n")
         report = sweep(5, 5, stream=str(path))
-        assert not report.incomplete and not report.all_proved
-        assert report.records[-1] == record
+        assert not report.incomplete and report.all_proved
+        rerun = infeasibility_certificate(5, 5).to_record()
+        assert without_millis([report.records[-1]]) == without_millis([rerun])
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0] == record
+        assert [(r["k"], r["t"]) for r in lines].count((5, 5)) == 2
+        assert lines[-1] == report.records[-1]
+        # Proved records are held: a second run appends nothing.
+        again = sweep(5, 5, stream=str(path))
+        assert again.records == report.records
+        assert len(path.read_text().splitlines()) == len(lines)
+
+    def test_budget_lists_held_undecided_pair_as_skipped(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        record = infeasibility_certificate(5, 5, max_depth=2).to_record()
+        assert record["verdict"] == "undecided"
+        path.write_text(json.dumps(record) + "\n")
+        # The budget runs out after the first pair, before (5, 5) is rerun.
+        report = sweep(5, 5, budget_seconds=0, stream=str(path))
+        assert report.incomplete and len(report.skipped) == 29
+        assert report.skipped[-1] == (5, 5) and report.records[-1] == record
 
     @pytest.mark.parametrize(
         "line, message",

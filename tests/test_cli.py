@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rps_forge
 from rps_forge.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rps_forge.gamefile import load_game
@@ -460,3 +462,17 @@ def test_module_entry_point_prints_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--sweep-kmax", "0"), ("--sweep-tmax", "-1")])
+def test_reproduce_script_rejects_bad_ranges_before_any_work(flag, value):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(rps_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_results.py"), flag, value],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr

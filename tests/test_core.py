@@ -18,7 +18,14 @@ from rps_forge.core import (
     uniform_expected_payoffs,
     win,
 )
-from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, odd_one_out
+from rps_forge.construct import (
+    imbalanced_rps,
+    imbalanced_rps3,
+    iterated_blowup,
+    maximal_rps3,
+    odd_one_out,
+)
+from rps_forge.gamefile import dump_game, parse_game
 
 from conftest import ordered_uniform_payoffs, random_table_rule
 
@@ -142,6 +149,27 @@ class TestEnumerateMultisets:
         assert sum(w for _, w in enumerate_multisets(n, size)) == n**size
 
 
+def per_object_uniform_payoffs(rule):
+    """Reference: for each object, its payoff against every opponent
+    multiset of size m-1, weighted and summed term by term."""
+    m, n = rule.m, rule.n
+    result = []
+    for o in range(n):
+        acc = Fraction(0)
+        for counts, weight in enumerate_multisets(n, m - 1):
+            combined = list(counts)
+            combined[o] += 1
+            out = eval_outcome(rule, combined)
+            if out.is_tie:
+                continue
+            if out.winner == o:
+                acc += weight * tie_payoff(m, out.winner_count)
+            else:
+                acc -= weight
+        result.append(acc / n ** (m - 1))
+    return result
+
+
 class TestUniformExpectedPayoffs:
     def test_two_player_classic_is_fair(self):
         assert uniform_expected_payoffs(imbalanced_rps3(2)) == [Fraction(0)] * 3
@@ -172,6 +200,32 @@ class TestUniformExpectedPayoffs:
     def test_matches_ordered_oracle_on_families(self):
         for rule in (imbalanced_rps3(4), maximal_rps3(3), odd_one_out(5), imbalanced_rps(3, 1)):
             assert uniform_expected_payoffs(rule) == ordered_uniform_payoffs(rule)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_matches_per_object_reference_imbalanced3(self, m):
+        rule = imbalanced_rps3(m)
+        assert uniform_expected_payoffs(rule) == per_object_uniform_payoffs(rule)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [maximal_rps3(6), odd_one_out(5), imbalanced_rps(8, 3), iterated_blowup(6, 3)],
+        ids=lambda r: r.construction,
+    )
+    def test_matches_per_object_reference(self, rule):
+        assert uniform_expected_payoffs(rule) == per_object_uniform_payoffs(rule)
+
+    def test_matches_per_object_reference_on_tables(self):
+        rule = imbalanced_rps(5, 2)
+        expected = per_object_uniform_payoffs(rule)
+        assert uniform_expected_payoffs(tabulate(rule)) == expected
+        assert uniform_expected_payoffs(parse_game(dump_game(rule))) == expected
+
+    def test_one_player_pays_nothing(self):
+        def never(counts):
+            raise AssertionError(f"winner function called on {counts}")
+
+        rule = GameRule(m=1, labels=("a", "b", "c"), winner_fn=never)
+        assert uniform_expected_payoffs(rule) == per_object_uniform_payoffs(rule) == [0, 0, 0]
 
     def test_matches_ordered_oracle_on_random_rules(self):
         rng = random.Random(99)

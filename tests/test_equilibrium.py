@@ -103,6 +103,94 @@ class TestNashGap:
             assert report.gap <= 1e-9
 
 
+def reference_nash_gap(rule, profile):
+    """Reference: every player on their own, with their own opponent count
+    distribution and a payoff evaluation per (object, counts) entry."""
+    per_player = []
+    gaps = []
+    for i in range(profile.m):
+        others = [v for j, v in enumerate(profile.vectors) if j != i]
+        dist = choice_count_distribution(others, rule.n)
+        u = []
+        for o in range(rule.n):
+            tot = 0.0
+            for counts, pr in dist.items():
+                tot += float(pr) * float(equilibrium._payoff_against(rule, o, counts))
+            u.append(tot)
+        current = sum(float(p) * uo for p, uo in zip(profile.vectors[i], u))
+        gaps.append(max(0.0, max(u) - current))
+        per_player.append(tuple(u))
+    return equilibrium.NashGapReport(payoffs=tuple(per_player), gaps=tuple(gaps), gap=max(gaps))
+
+
+class TestNashGapReference:
+    def test_symmetric_m20_solver_profile(self, monkeypatch):
+        m = 20
+        rule = imbalanced_rps3(m)
+        profile = symmetric_profile(solve_symmetric_rps3(m).as_vector(), m)
+        want = reference_nash_gap(rule, profile)
+        calls = {"dist": 0, "payoff": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            equilibrium, "choice_count_distribution",
+            counted("dist", equilibrium.choice_count_distribution),
+        )
+        monkeypatch.setattr(
+            equilibrium, "_payoff_against", counted("payoff", equilibrium._payoff_against)
+        )
+        assert nash_gap(rule, profile) == want
+        # One distribution over the C(21, 2) opponent count vectors, one
+        # payoff per object and count vector.
+        assert calls == {"dist": 1, "payoff": 3 * math.comb(21, 2)}
+
+    def test_equal_vectors_not_flagged_symmetric(self):
+        rule = imbalanced_rps3(6)
+        profile = MixedProfile(vectors=((0.2, 0.5, 0.3),) * 6, symmetric=False)
+        assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
+
+    def test_asymmetric_float_profile(self):
+        rule = imbalanced_rps(4, 2)
+        rng = random.Random(3)
+        vectors = []
+        for _ in range(3):
+            raw = [rng.random() for _ in range(rule.n)]
+            vectors.append(tuple(x / sum(raw) for x in raw))
+        # Players 0 and 1 share a vector, so their opponent tuples match.
+        profile = MixedProfile(vectors=(vectors[0], vectors[0], vectors[1], vectors[2]))
+        assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
+
+    def test_fraction_symmetric_profile(self):
+        rule = imbalanced_rps3(7)
+        profile = symmetric_profile((Fraction(1, 7), Fraction(5, 7), Fraction(1, 7)), 7)
+        assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
+
+    def test_equal_values_of_different_types(self):
+        # The exact Fraction value of each float: the opponents of player 0
+        # and of player 5 are equal by value, yet their float payoffs
+        # differ, since Fraction products are rounded only once.
+        v = (0.3, 0.3, 0.4)
+        exact = tuple(map(Fraction, v))
+        rule = imbalanced_rps3(6)
+        profile = MixedProfile(vectors=(exact,) * 3 + (v,) * 3)
+        want = reference_nash_gap(rule, profile)
+        assert want.payoffs[0] != want.payoffs[5]
+        assert nash_gap(rule, profile) == want
+
+    def test_every_search_result_on_a_random_table(self):
+        rule = random_table_rule(random.Random(8), 4, 3)
+        results = search_equilibria(rule, SearchConfig(seed=0))
+        assert results
+        for profile, _ in results:
+            assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
+
+
 class TestSymmetricSolver:
     @pytest.mark.parametrize("m, row", sorted(TABLE_ROWS.items()))
     def test_published_rows(self, m, row):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from rps_forge import formulas
 from rps_forge.formulas import (
     COMMITTED_ROLES,
     Role,
@@ -28,6 +29,42 @@ def count_r_probability(r_vec, count):
         for j in idx:
             term *= r_vec[j] if j in chosen_set else 1 - r_vec[j]
         total += term
+    return total
+
+
+def reference_identity_sums(k, t, b):
+    """The two identity sums and their closed values, built term by term
+    with ``Fraction``."""
+    m = k + t + 1
+    sum1 = sum(
+        (Fraction(m - (kk + 1), kk + 1) * (-1) ** kk * comb(b, kk) for kk in range(b + 1)),
+        Fraction(0),
+    )
+    closed1 = Fraction(m, 1 + b) - (1 if b == 0 else 0)
+    sum2 = sum(
+        (
+            Fraction(k - kk - 1, kk + t + 2) * (-1) ** (b - (k - 1) + kk) * comb(b, (k - 1) - kk)
+            for kk in range(k - 1 - b, k)
+        ),
+        Fraction(0),
+    )
+    closed2 = Fraction(1, comb(k + t, b)) if b >= 1 else Fraction(0)
+    return sum1, closed1, sum2, closed2
+
+
+def reference_identity_check(k, t, b):
+    sum1, closed1, sum2, closed2 = reference_identity_sums(k, t, b)
+    return sum1 == closed1, sum2 == closed2
+
+
+def reference_corner_value(k, t, l, s_corner):
+    """The corner sum built term by term with ``Fraction``."""
+    m = k + t + 1
+    s = Fraction(s_corner)
+    total = Fraction(0)
+    for b in range(1, l + 2):
+        coeff = s * (-1) ** b * Fraction(m, 1 + b) - (1 - s) * Fraction(1, comb(k + t, b))
+        total += coeff * comb(l, b - 1)
     return total
 
 
@@ -206,6 +243,20 @@ class TestIdentities:
         with pytest.raises(ScenarioError):
             identity_check(3, 0, 3)
 
+    @pytest.mark.parametrize("t", range(0, 41, 3))
+    def test_matches_term_by_term_reference(self, t):
+        for k in range(1, 41):
+            for b in range(k):
+                assert identity_check(k, t, b) == reference_identity_check(k, t, b) == (True, True)
+
+    def test_perturbed_binomials_fail_the_check(self, monkeypatch):
+        # The verdict compares the sums with the closed forms: with every
+        # C(a, j), j >= 1, off by one the sums no longer match them.
+        monkeypatch.setattr(formulas, "comb", lambda a, j: comb(a, j) + (j >= 1))
+        verdicts = [identity_check(k, t, b) for k in range(1, 8) for t in (0, 3) for b in range(k)]
+        assert any(not ok1 for ok1, _ in verdicts)
+        assert any(not ok2 for _, ok2 in verdicts)
+
 
 class TestCorners:
     def test_worked_values(self):
@@ -218,6 +269,21 @@ class TestCorners:
                 for l in range(0, k - 1):
                     for s in (0, 1):
                         assert corner_value(k, t, l, s) < 0
+
+    @pytest.mark.parametrize("t", range(0, 41, 3))
+    def test_matches_term_by_term_reference(self, t):
+        for k in range(2, 41):
+            for l in range(k - 1):
+                for s in (0, 1):
+                    value = corner_value(k, t, l, s)
+                    assert type(value) is Fraction
+                    assert value == reference_corner_value(k, t, l, s)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_perturbed_binomials_raise(self, monkeypatch, s):
+        monkeypatch.setattr(formulas, "comb", lambda a, j: comb(a, j) + 1)
+        with pytest.raises(ScenarioError, match="disagrees with closed form"):
+            corner_value(4, 2, 1, s)
 
     def test_domain_guards(self):
         with pytest.raises(ScenarioError):
