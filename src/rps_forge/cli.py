@@ -254,10 +254,15 @@ def _imbalance_stats(rule: GameRule, alphas, seed) -> dict:
         eq = solve_symmetric_rps3(rule.m)
         equilibria.append(symmetric_profile(eq.as_vector(), rule.m))
         note.append("symmetric solver")
-    if seed is not None and rule.m <= 4 and rule.n <= 5:
+    if seed is None:
+        skipped = "pass --seed for search"
+    elif rule.m <= 4 and rule.n <= 5:
         found = search_equilibria(rule, SearchConfig(seed=seed))
         equilibria.extend(p for p, _ in found)
         note.append(f"seeded search ({len(found)} found)")
+        skipped = "seeded search found none"
+    else:
+        skipped = "search is desk-scale only: m <= 4, n <= 5"
     if equilibria:
         stats["nash_entropy"] = nash_entropy_imbalance(equilibria)
         sym_vectors = [p.vectors[0] for p in equilibria if p.symmetric]
@@ -265,7 +270,7 @@ def _imbalance_stats(rule: GameRule, alphas, seed) -> dict:
             stats["nash_ties"] = float(nash_ties_imbalance(sym_vectors, rule.m))
         stats["equilibrium_basis"] = "list-relative: " + ", ".join(note)
     else:
-        stats["equilibrium_basis"] = "not computed (pass --seed for search)"
+        stats["equilibrium_basis"] = f"not computed ({skipped})"
     return stats
 
 

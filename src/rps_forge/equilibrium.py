@@ -454,7 +454,17 @@ def _symmetric_support_candidates(
 def _best_response_profiles(
     rule: GameRule, cache: dict, config: SearchConfig, rng: random.Random
 ) -> list[list[list[float]]]:
-    """Damped best-response iteration from seeded random starts."""
+    """Damped best-response iteration from seeded random starts.
+
+    A start is kept once a sweep moves no component by 1e-10.  It is
+    dropped after 300 sweeps that still move one by 1e-4, or as soon as
+    ``vectors`` at the top of a sweep equals a copy saved at sweep 1, 2,
+    4, 8, ... (Brent's cycle check).  A sweep depends on ``vectors``
+    alone, so such an exact repeat replays the same sweeps forever, and
+    none of them converged, so the start could never be kept.  Dropping
+    it early leaves the results unchanged; starts are drawn before they
+    iterate, so the random stream is unchanged too.
+    """
     m, n = rule.m, rule.n
     rows = _payoff_rows(rule, cache)
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
@@ -467,7 +477,12 @@ def _best_response_profiles(
             tot = sum(raw)
             vectors.append([w / tot for w in raw])
         change = 1.0
+        saved, mark = None, 1
         for it in range(config.max_iter):
+            if vectors == saved:
+                break  # exact repeat: cycling forever, never converging
+            if it == mark:
+                saved, mark = vectors[:], 2 * mark  # rows are replaced, not mutated
             change = 0.0
             for i in range(m):
                 # joint[j]: probability that the opponents play ordered tuple j
@@ -500,10 +515,12 @@ def search_equilibria(
     """Candidate equilibria of a small game, each independently verified.
 
     Combines symmetric per-support root finding with multistart damped
-    best-response iteration.  Every candidate must pass the deviation-gap
-    check at ``config.eps``; survivors are deduplicated within sup
-    distance ``config.dedup``.  The list may be empty (inconclusive); it
-    is never claimed exhaustive.
+    best-response iteration.  A best-response start that returns exactly
+    to an earlier state is cycling and is dropped at once; it could never
+    converge, so this only saves time.  Every candidate must pass the
+    deviation-gap check at ``config.eps``; survivors are deduplicated
+    within sup distance ``config.dedup``.  The list may be empty
+    (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")

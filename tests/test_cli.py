@@ -190,6 +190,15 @@ class TestImbalance:
         assert code == EXIT_OK
         assert env["payload"]["relation"] == "majorizes"
 
+    def test_seed_beyond_search_scale_says_why(self, capsys, tmp_path):
+        path = tmp_path / "g.rps"
+        run_json(capsys, "build", "--family", "maximal3", "--m", "5", "--out", str(path))
+        code, env, _ = run_json(capsys, "imbalance", str(path), "--seed", "3")
+        assert code == EXIT_OK
+        assert env["payload"]["equilibrium_basis"] == (
+            "not computed (search is desk-scale only: m <= 4, n <= 5)"
+        )
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.rps"
         bad.write_text("rps m=2 objects=a,b\ncounts=1,1 winner=zzz\n")
@@ -383,14 +392,21 @@ class TestJobsDefault:
 
 
 class TestOutputContracts:
-    def test_payload_determinism(self, capsys):
-        argv = ("verify", "identities", "--kmax", "6", "--tmax", "6")
-        _, env1, _ = run_json(capsys, *argv)
-        _, env2, _ = run_json(capsys, *argv)
-        assert json.dumps(env1["payload"], sort_keys=True) == json.dumps(
-            env2["payload"], sort_keys=True
-        )
-        assert env1["config"] == env2["config"]
+    def test_payload_determinism(self, capsys, tmp_path):
+        game = tmp_path / "g.rps"
+        run_json(capsys, "build", "--family", "imbalanced3", "--m", "3", "--out", str(game))
+        for argv in (
+            ("verify", "identities", "--kmax", "6", "--tmax", "6"),
+            ("nash", "--family", "imbalanced3", "--m", "3", "--mode", "search", "--seed", "7"),
+            ("imbalance", str(game), "--seed", "3"),
+            ("verify", "conjecture2", "--m", "3", "--k", "2", "--seed", "1"),
+        ):
+            _, env1, _ = run_json(capsys, *argv)
+            _, env2, _ = run_json(capsys, *argv)
+            assert json.dumps(env1["payload"], sort_keys=True) == json.dumps(
+                env2["payload"], sort_keys=True
+            ), argv
+            assert env1["config"] == env2["config"], argv
 
     def test_envelope_fields(self, capsys):
         _, env, _ = run_json(capsys, "verify", "identities", "--kmax", "3", "--tmax", "3")

@@ -6,7 +6,9 @@ response: every update rebuilds the opponents' count distribution with
 ``choice_count_distribution`` and sums cached pure payoffs over it.  The
 payoff-row kernel in ``_best_response_profiles`` must return the very same
 floats, start for start, and ``search_equilibria`` the very same verified
-profiles and gap reports.
+profiles and gap reports.  The reference keeps no check for an exact
+repeat of the state, so equality also shows that ending a cycling start
+at its first repeat changes no result.
 """
 
 import math
@@ -339,6 +341,13 @@ def _oracle_games():
 
 ORACLE_GAMES = _oracle_games()
 
+# Games where best response never converges, so every start ends by the
+# exact-repeat check or the give-up rule.
+CYCLING_GAMES = {
+    **{f"imbalanced3 m={m}": imbalanced_rps3(m) for m in (2, 3, 4)},
+    "imbalanced m=3 k=2": imbalanced_rps(3, 2),
+}
+
 
 class TestBestResponseOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_GAMES))
@@ -363,6 +372,38 @@ class TestBestResponseOracle:
         )
         want = search_equilibria(rule, config)
         assert got and got == want
+
+    @pytest.mark.parametrize("max_iter", [40, 400])
+    @pytest.mark.parametrize("damping", [1.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(CYCLING_GAMES))
+    def test_cycling_games_equal_reference(self, name, damping, max_iter):
+        rule = CYCLING_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=6, damping=damping, max_iter=max_iter)
+        got = _best_response_profiles(rule, cache, config, random.Random(max_iter))
+        want = reference_best_response_profiles(rule, cache, config, random.Random(max_iter))
+        assert got == want
+
+
+class TestCycleCheck:
+    """Best response on ``imbalanced3`` only cycles; each start must stop at
+    its first exact repeat instead of running out the 302-sweep give-up rule."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_cycling_starts_stop_early(self, m, monkeypatch):
+        updates = 0
+
+        def counting_sub(a, b):
+            nonlocal updates
+            updates += 1
+            return a - b
+
+        monkeypatch.setattr(equilibrium, "sub", counting_sub)
+        rule = imbalanced_rps3(m)
+        config = SearchConfig(seed=0, starts=20)
+        search_equilibria(rule, config)
+        sweeps_per_start = updates / (config.starts * m * rule.n)
+        assert 0 < sweeps_per_start < 100
 
 
 class TestSearchConfig:
