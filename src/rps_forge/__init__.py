@@ -61,6 +61,7 @@ from .formulas import (
     ev_raw,
     ev_simplified,
     identity_check,
+    payoff_poly,
 )
 from .certify import (
     Constraint,

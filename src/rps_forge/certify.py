@@ -21,20 +21,12 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .core import GameError, GameRule, eval_outcome
 from .equilibrium import MixedProfile, choice_count_distribution
-from .formulas import ScenarioError
-from .intervals import (
-    PRECISION_BITS,
-    Interval,
-    Poly2,
-    ceil_dyadic,
-    floor_dyadic,
-    one_minus_r_power,
-)
+from .formulas import COMMITTED_ROLES, Role, ScenarioError, payoff_poly
+from .intervals import PRECISION_BITS, Interval, Poly2, ceil_dyadic, floor_dyadic
 
 DEFAULT_DELTA = Fraction(1, 10**6)
 MAX_DEPTH_LIMIT = 60
@@ -45,15 +37,13 @@ class Constraint:
     """One polynomial condition on (r, s).
 
     ``kind`` is "eq" (must vanish) or "ge" (must be nonnegative).  The
-    polynomial equals ``scale`` times the raw payoff difference, times
-    the declared clearing factor; both multipliers are strictly positive
-    on r > 0, so zero sets and signs are preserved there.
+    polynomial equals ``scale``, a positive rational, times the payoff
+    difference it encodes, so zero sets and signs are preserved.
     """
 
     name: str
     kind: str
     poly: Poly2
-    cleared_by: str | None
     scale: Fraction
 
     def pruned_on(self, box_r: Interval, box_s: Interval, bits: int) -> bool:
@@ -63,75 +53,30 @@ class Constraint:
         return enc.entirely_negative()
 
 
-def _p_series_coeffs(top: int, k: int, t: int) -> list[Fraction]:
-    """Coefficients of sum_{b=1}^{top} C(top,b)/C(k+t,b) r^b."""
-    return [Fraction(0)] + [
-        Fraction(comb(top, b), comb(k + t, b)) for b in range(1, top + 1)
-    ]
-
-
 def constraint_system(k: int, t: int) -> list[Constraint]:
-    """The equilibrium conditions as sign-safe polynomials in (r, s).
+    """The equilibrium conditions as polynomials in (r, s).
 
-    The R-payoff formulas carry a 1/(k r) (resp. 1/((k+1) r))
-    singularity; those conditions are multiplied through by k r and
-    (k+1) r, positive on the domain, before being handed to the interval
-    machinery.  Equalities are listed first: they prune fastest.
+    Each is the difference ``payoff_poly(better) - payoff_poly(worse)`` of
+    two closed-form payoffs, scaled to integer coefficients with content
+    1.  Equalities are listed first: they prune fastest.
     """
-    if k < 1:
-        raise ScenarioError(f"need at least one mixer, got k={k}")
-    if t < 0:
-        raise ScenarioError(f"committed player count must be >= 0, got {t}")
-    m = k + t + 1
-    s = Poly2.var_s()
-    one = Poly2.constant(1)
-    one_minus_s = one - s
-
-    mixer_p = one_minus_s.mul_r_poly(_p_series_coeffs(k - 1, k, t)) - s
-    committed_p = one_minus_s.mul_r_poly(_p_series_coeffs(k, k, t)) - s
-    candidate_p = Poly2(_p_series_coeffs(k, k, t))
-    candidate_s = Poly2(one_minus_r_power(k)).scale(m) - one
-    mixer_s = (Poly2.constant(2) - s).mul_r_poly(one_minus_r_power(k - 1)).scale(
-        Fraction(m, 2)
-    ) - one
-    committed_s = (Poly2.constant(2) - s).mul_r_poly(one_minus_r_power(k)).scale(
-        Fraction(m, 2)
-    ) - one
-
-    def cleared_r_payoff(depth: int) -> Poly2:
-        # depth*r times the R payoff: s*m*(1-(1-r)^depth) - depth*r
-        rising = Poly2.constant(1) - Poly2(one_minus_r_power(depth))
-        return s * rising.scale(m) - Poly2([Fraction(0), Fraction(depth)])
-
-    kr = [Fraction(0), Fraction(k)]
-    k1r = [Fraction(0), Fraction(k + 1)]
-
-    def make(name: str, kind: str, poly: Poly2, cleared_by: str | None) -> Constraint:
-        scaled, factor = poly.integer_normalization()
-        return Constraint(name=name, kind=kind, poly=scaled, cleared_by=cleared_by, scale=factor)
-
-    constraints = [
-        make(
-            "mixer_indifferent_R_P",
-            "eq",
-            mixer_p.mul_r_poly(kr) - cleared_r_payoff(k),
-            f"{k}*r",
-        ),
-        make("candidate_indifferent_S_P", "eq", candidate_s - candidate_p, None),
-        make("mixer_prefers_P_over_S", "ge", mixer_p - mixer_s, None),
+    conditions = [
+        ("mixer_indifferent_R_P", "eq", Role.MIXER_P, Role.MIXER_R),
+        ("candidate_indifferent_S_P", "eq", Role.CANDIDATE_S, Role.CANDIDATE_P),
+        ("mixer_prefers_P_over_S", "ge", Role.MIXER_P, Role.MIXER_S),
     ]
     if t > 0:
-        constraints.append(
-            make(
-                "committed_prefers_P_over_R",
-                "ge",
-                committed_p.mul_r_poly(k1r) - cleared_r_payoff(k + 1),
-                f"{k + 1}*r",
-            )
-        )
-        constraints.append(
-            make("committed_prefers_P_over_S", "ge", committed_p - committed_s, None)
-        )
+        conditions += [
+            ("committed_prefers_P_over_R", "ge", Role.COMMITTED_P, Role.COMMITTED_R),
+            ("committed_prefers_P_over_S", "ge", Role.COMMITTED_P, Role.COMMITTED_S),
+        ]
+    payoff = {
+        role: payoff_poly(role, k, t) for role in Role if t > 0 or role not in COMMITTED_ROLES
+    }
+    constraints = []
+    for name, kind, better, worse in conditions:
+        poly, scale = (payoff[better] - payoff[worse]).integer_normalization()
+        constraints.append(Constraint(name=name, kind=kind, poly=poly, scale=scale))
     return constraints
 
 

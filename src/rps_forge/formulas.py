@@ -16,8 +16,11 @@ independent routes are provided:
   probabilities.  The tie-count probabilities come from the exact
   Poisson-binomial recurrence, one mixer at a time, so a call costs
   O(k^2) rational operations.  It is the transparent oracle.
-* ``ev_simplified`` evaluates closed forms valid when all mixers share
-  one probability r.  The two routes agree exactly (rational equality).
+* ``payoff_poly`` states the closed forms valid when all mixers share
+  one probability r, as exact polynomials in (r, s); ``ev_simplified``
+  evaluates them.  The two routes agree exactly (rational equality).
+  The certificate constraints in ``certify`` are differences of these
+  same polynomials.
 
 The closed forms rest on two alternating binomial identities whose sums
 ``identity_check`` evaluates exactly, and the step that forces all
@@ -37,6 +40,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Sequence
 
+from .intervals import Poly2
+
 Rational = Fraction | int
 
 
@@ -48,7 +53,9 @@ class Role(enum.Enum):
     """Player class crossed with the pure choice being evaluated.
 
     The candidate never plays R (it loses whenever only they could have
-    supplied the S that R needs), so that pairing is omitted.
+    supplied the S that R needs), so that pairing is omitted.  Each value
+    reads ``player:choice``; ``ev_raw`` and ``payoff_poly`` branch on the
+    two parts.
     """
 
     MIXER_R = "mixer:R"
@@ -61,7 +68,6 @@ class Role(enum.Enum):
     COMMITTED_S = "committed:S"
 
 
-MIXER_ROLES = (Role.MIXER_R, Role.MIXER_P, Role.MIXER_S)
 COMMITTED_ROLES = (Role.COMMITTED_R, Role.COMMITTED_P, Role.COMMITTED_S)
 
 
@@ -94,47 +100,53 @@ def _require_committed(role: Role, t: int):
         raise ScenarioError(f"{role.value} needs at least one committed player")
 
 
-def ev_simplified(role: Role, sc: Scenario) -> Fraction:
-    """Closed-form expected payoff for ``role`` under equal mixer odds.
+def one_minus_r_power(power: int) -> list[int]:
+    """Coefficients of (1 - r)**power."""
+    return [(-1) ** i * comb(power, i) for i in range(power + 1)]
 
-    Exact rational arithmetic; the removable singularity of the R
-    formulas at r = 0 is filled with its limit value s*(k+t+1) - 1.
+
+def payoff_poly(role: Role, k: int, t: int) -> Poly2:
+    """Closed-form expected payoff of ``role`` under equal mixer odds r, as
+    the exact polynomial p0(r) + s*p1(r).
+
+    With m = k + t + 1 and a class depth e (k - 1 for a mixer, k for the
+    others)::
+
+        R:  s*m*(1 - (1-r)^(e+1)) / ((e+1)*r) - 1
+        P:  (1-s) * sum_{b=1}^{e} C(e,b)/C(k+t,b) r^b - s
+        S:  -1 + (2-s) * (m/2) * (1-r)^e
+
+    The R forms are polynomials: (1 - (1-r)^d)/r equals
+    sum_{i=1}^{d} (-1)^(i+1) C(d,i) r^(i-1), so their value at r = 0 is
+    the limit s*m - 1.  The candidate is the only player who ever plays
+    S, so its own payoffs are the committed ones at s = 0.
     """
-    _require_committed(role, sc.t)
-    k, t = sc.k, sc.t
-    r, s = Fraction(sc.r), Fraction(sc.s)
+    if k < 1:
+        raise ScenarioError(f"need at least one mixer, got k={k}")
+    if t < 0:
+        raise ScenarioError(f"committed player count must be >= 0, got {t}")
+    _require_committed(role, t)
+    player, choice = role.value.split(":")
     m = k + t + 1
-    one = Fraction(1)
+    e = k - 1 if player == "mixer" else k
+    if choice == "R":
+        d = e + 1
+        return Poly2([-1], [Fraction((-1) ** i * m * comb(d, i + 1), d) for i in range(d)])
+    if choice == "P":
+        p0 = [0] + [Fraction(comb(e, b), comb(k + t, b)) for b in range(1, e + 1)]
+        p1 = [-1] + [-c for c in p0[1:]]
+    else:
+        power = one_minus_r_power(e)
+        p0 = [m * c for c in power]
+        p0[0] -= 1
+        p1 = [Fraction(-m * c, 2) for c in power]
+    return Poly2(p0, () if player == "candidate" else p1)
 
-    def r_formula(depth: int) -> Fraction:
-        # s*m * (1 - (1-r)^depth) / (depth*r) - 1, continued across r = 0
-        if r == 0:
-            return s * m - 1
-        return s * m * (1 - (1 - r) ** depth) / (depth * r) - 1
 
-    def p_series(top: int) -> Fraction:
-        return sum(
-            (Fraction(comb(top, b), comb(k + t, b)) * r**b for b in range(1, top + 1)),
-            Fraction(0),
-        )
-
-    if role is Role.MIXER_R:
-        return r_formula(k)
-    if role is Role.MIXER_P:
-        return (one - s) * p_series(k - 1) - s
-    if role is Role.MIXER_S:
-        return -1 + (2 - s) * Fraction(m, 2) * (1 - r) ** (k - 1)
-    if role is Role.CANDIDATE_P:
-        return p_series(k)
-    if role is Role.CANDIDATE_S:
-        return -1 + m * (1 - r) ** k
-    if role is Role.COMMITTED_R:
-        return r_formula(k + 1)
-    if role is Role.COMMITTED_P:
-        return (one - s) * p_series(k) - s
-    if role is Role.COMMITTED_S:
-        return -1 + (2 - s) * Fraction(m, 2) * (1 - r) ** k
-    raise ScenarioError(f"unknown role {role!r}")
+def ev_simplified(role: Role, sc: Scenario) -> Fraction:
+    """Closed-form expected payoff for ``role`` under equal mixer odds:
+    ``payoff_poly`` evaluated exactly at (r, s)."""
+    return payoff_poly(role, sc.k, sc.t).eval_exact(Fraction(sc.r), Fraction(sc.s))
 
 
 def _count_r_distribution(r_vec: Sequence[Fraction]) -> list[Fraction]:
@@ -173,52 +185,27 @@ def ev_raw(
     s = Fraction(s)
     if not 0 <= s <= 1 or any(not 0 <= x <= 1 for x in rs):
         raise ScenarioError("probabilities must lie in [0, 1]")
+    player, choice = role.value.split(":")
+    if player == "candidate":
+        s = Fraction(0)  # the candidate is the only player who ever plays S
     m = k + t + 1
-    others = rs[1:]
-
-    if role in MIXER_ROLES:
-        dist = _count_r_distribution(others)  # over the k-1 other mixers
-    else:
-        dist = _count_r_distribution(rs)  # over all k mixers
-
-    def count_p(count: int) -> Fraction:
-        return dist[len(dist) - 1 - count]
-
-    if role is Role.MIXER_R:
-        acc = Fraction(0)
-        for kk in range(k):  # kk other mixers also picked R
-            acc += Fraction(m - (kk + 1), kk + 1) * dist[kk]
+    # P(exactly j of the other mixers pick R): a mixer's own mixing never
+    # enters the payoff of their pure deviation
+    dist = _count_r_distribution(rs[1:] if player == "mixer" else rs)
+    if choice == "R":
+        # with the candidate on S, the deviator and j R-picking mixers win
+        acc = sum(Fraction(m - (j + 1), j + 1) * p for j, p in enumerate(dist))
         return s * acc - (1 - s)
-    if role is Role.MIXER_P:
-        acc = Fraction(0)
-        for kk in range(k):  # kk other mixers also picked P
-            acc += Fraction(m - (kk + t + 2), kk + t + 2) * count_p(kk)
+    if choice == "P":
+        # with the candidate on P and j mixers picking P, w = j + t + 2
+        # (for a mixer) or j + t + 1 P-players win
+        base = t + 2 if player == "mixer" else t + 1
+        acc = sum(
+            Fraction(m - (j + base), j + base) * p for j, p in enumerate(reversed(dist))
+        )
         return (1 - s) * acc - s
-    if role is Role.MIXER_S:
-        quiet = dist[0]  # every other mixer picked P
-        return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
-    if role is Role.CANDIDATE_P:
-        acc = Fraction(0)
-        for kk in range(k + 1):
-            acc += Fraction(k - kk, kk + t + 1) * count_p(kk)
-        return acc
-    if role is Role.CANDIDATE_S:
-        quiet = dist[0]
-        return (k + t) * quiet - (1 - quiet)
-    if role is Role.COMMITTED_R:
-        acc = Fraction(0)
-        for kk in range(k + 1):
-            acc += Fraction(m - (kk + 1), kk + 1) * dist[kk]
-        return s * acc - (1 - s)
-    if role is Role.COMMITTED_P:
-        acc = Fraction(0)
-        for kk in range(k + 1):
-            acc += Fraction(k - kk, kk + t + 1) * count_p(kk)
-        return (1 - s) * acc - s
-    if role is Role.COMMITTED_S:
-        quiet = dist[0]
-        return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
-    raise ScenarioError(f"unknown role {role!r}")
+    quiet = dist[0]  # every other mixer picked P
+    return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
 
 
 def _common_denominator_sum(terms: Sequence[tuple[int, int]]) -> Fraction:

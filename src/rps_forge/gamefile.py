@@ -8,9 +8,10 @@ Layout::
     counts=2,1,0 winner=P
     ...
 
-One line per full-size choice multiset; ``winner`` names an object label
-or ``TIE``.  Monoset lines may be omitted: unspecified monosets default
-to an all-way tie.  Lines starting with ``#`` are comments; a
+One line per full-size choice multiset, and at most one: a second line
+for the same multiset is an error.  ``winner`` names an object label or
+``TIE``.  Monoset lines may be omitted: unspecified monosets default to
+an all-way tie.  Lines starting with ``#`` are comments; a
 ``# construction:`` comment round-trips the builder tag.
 """
 
@@ -99,6 +100,8 @@ def parse_game(text: str) -> GameRule:
             raise GameFileError(f"negative count in {counts}", lineno)
         if sum(counts) != m:
             raise GameFileError(f"counts sum to {sum(counts)}, expected {m}", lineno)
+        if counts in table:
+            raise GameFileError(f"duplicate line for multiset {counts}", lineno)
         winner_name = fields["winner"]
         if winner_name == "TIE":
             table[counts] = all_tie(m)

@@ -85,10 +85,6 @@ class Poly2:
     def constant(c) -> "Poly2":
         return Poly2([Fraction(c)], [])
 
-    @staticmethod
-    def var_s() -> "Poly2":
-        return Poly2([], [Fraction(1)])
-
     def __add__(self, other: "Poly2") -> "Poly2":
         return Poly2(_add(self.p0, other.p0), _add(self.p1, other.p1))
 
@@ -98,17 +94,6 @@ class Poly2:
     def scale(self, c) -> "Poly2":
         c = Fraction(c)
         return Poly2([c * x for x in self.p0], [c * x for x in self.p1])
-
-    def mul_r_poly(self, coeffs: Sequence[Fraction]) -> "Poly2":
-        """Multiply by a polynomial in r alone (keeps s-degree <= 1)."""
-        return Poly2(_mul(self.p0, list(coeffs)), _mul(self.p1, list(coeffs)))
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        if other.p1:
-            if self.p1:
-                raise ValueError("product would exceed degree 1 in s")
-            return other.mul_r_poly(self.p0)
-        return self.mul_r_poly(other.p0)
 
     @property
     def degree_r(self) -> int:
@@ -130,8 +115,25 @@ class Poly2:
         factor = Fraction(denom, content)
         return self.scale(factor), factor
 
+    def _integers(self) -> tuple[list[int], list[int], int]:
+        if self._integer_form is None:
+            self._integer_form = _integer_form(self.p0, self.p1)
+        return self._integer_form
+
     def eval_exact(self, r: Fraction, s: Fraction) -> Fraction:
-        return _horner_exact(self.p0, r) + s * _horner_exact(self.p1, r)
+        """Exact value at (r, s) by Horner's rule in integers over the
+        common denominator of the coefficients, with r = a/b handled
+        homogeneously (sum N_i a^i b^(n-i)); one ``Fraction`` at the end."""
+        num0, num1, q = self._integers()
+        a, b = r.numerator, r.denominator
+        h0 = h1 = 0
+        bpow = 1
+        for c0, c1 in zip(reversed(num0), reversed(num1)):
+            h0 = h0 * a + c0 * bpow
+            h1 = h1 * a + c1 * bpow
+            bpow *= b
+        # bpow is now b^(n+1), one factor more than the b^n of the value
+        return Fraction((h0 * s.denominator + s.numerator * h1) * b, q * s.denominator * bpow)
 
     def eval_box(self, r: Interval, s: Interval, bits: int = PRECISION_BITS) -> Interval:
         """Bernstein enclosure over a box.
@@ -151,9 +153,7 @@ class Poly2:
         monomial ranges.  Each s endpoint S/E gives exact bounds over the
         denominator Q D^n E, and the hull is rounded outward once.
         """
-        if self._integer_form is None:
-            self._integer_form = _integer_form(self.p0, self.p1)
-        num0, num1, q = self._integer_form
+        num0, num1, q = self._integers()
         n = len(num0) - 1
         if n < 0:
             return Interval.point(0)
@@ -211,25 +211,6 @@ def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _horner_exact(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _integer_form(
     p0: Sequence[Fraction], p1: Sequence[Fraction]
 ) -> tuple[list[int], list[int], int]:
@@ -262,8 +243,3 @@ def _bernstein_scale(n: int) -> tuple[tuple[int, ...], int]:
     binoms = [comb(n, j) for j in range(n + 1)]
     common = lcm(*binoms)
     return tuple(common // c for c in binoms), common
-
-
-def one_minus_r_power(power: int) -> list[Fraction]:
-    """Coefficients of (1 - r)**power."""
-    return [Fraction((-1) ** i * comb(power, i)) for i in range(power + 1)]

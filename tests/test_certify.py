@@ -17,7 +17,7 @@ from rps_forge.certify import (
 )
 from rps_forge.construct import imbalanced_rps
 from rps_forge.equilibrium import solve_symmetric_rps3, symmetric_profile
-from rps_forge.formulas import Role, Scenario, ScenarioError, ev_simplified
+from rps_forge.formulas import Role, ScenarioError, ev_raw
 from rps_forge.intervals import Interval, Poly2
 
 
@@ -46,36 +46,30 @@ class TestConstraintSystem:
         for c in constraint_system(5, 3):
             assert all(x.denominator == 1 for x in c.poly.coefficients())
 
-    @pytest.mark.parametrize("k, t", [(1, 0), (2, 0), (3, 2), (5, 4)])
+    @pytest.mark.parametrize("k, t", [(1, 0), (2, 0), (3, 2), (5, 4), (8, 0), (12, 6)])
     def test_matches_formula_differences(self, k, t):
-        # the cleared polynomials are positive multiples of the payoff
-        # differences they encode, at every rational point with r > 0
+        # each polynomial is a positive multiple of the payoff difference
+        # it encodes, here computed by the direct sums of ev_raw, at every
+        # rational point, r = 0 included
         rng = random.Random(k * 100 + t)
         by_name = {c.name: c for c in constraint_system(k, t)}
+        pairs = {
+            "mixer_indifferent_R_P": (Role.MIXER_P, Role.MIXER_R),
+            "candidate_indifferent_S_P": (Role.CANDIDATE_S, Role.CANDIDATE_P),
+            "mixer_prefers_P_over_S": (Role.MIXER_P, Role.MIXER_S),
+        }
+        if t:
+            pairs["committed_prefers_P_over_R"] = (Role.COMMITTED_P, Role.COMMITTED_R)
+            pairs["committed_prefers_P_over_S"] = (Role.COMMITTED_P, Role.COMMITTED_S)
+        assert set(by_name) == set(pairs)
         for _ in range(25):
-            r = Fraction(rng.randint(1, 99), 100)
+            r = Fraction(rng.randint(0, 99), 100)
             s = Fraction(rng.randint(0, 100), 100)
-            sc = Scenario(k=k, t=t, r=r, s=s)
-
-            c = by_name["mixer_indifferent_R_P"]
-            diff = ev_simplified(Role.MIXER_P, sc) - ev_simplified(Role.MIXER_R, sc)
-            assert c.poly.eval_exact(r, s) == c.scale * (k * r) * diff
-
-            c = by_name["candidate_indifferent_S_P"]
-            diff = ev_simplified(Role.CANDIDATE_S, sc) - ev_simplified(Role.CANDIDATE_P, sc)
-            assert c.poly.eval_exact(r, s) == c.scale * diff
-
-            c = by_name["mixer_prefers_P_over_S"]
-            diff = ev_simplified(Role.MIXER_P, sc) - ev_simplified(Role.MIXER_S, sc)
-            assert c.poly.eval_exact(r, s) == c.scale * diff
-
-            if t:
-                c = by_name["committed_prefers_P_over_R"]
-                diff = ev_simplified(Role.COMMITTED_P, sc) - ev_simplified(Role.COMMITTED_R, sc)
-                assert c.poly.eval_exact(r, s) == c.scale * ((k + 1) * r) * diff
-                c = by_name["committed_prefers_P_over_S"]
-                diff = ev_simplified(Role.COMMITTED_P, sc) - ev_simplified(Role.COMMITTED_S, sc)
-                assert c.poly.eval_exact(r, s) == c.scale * diff
+            for name, (better, worse) in pairs.items():
+                c = by_name[name]
+                assert c.scale > 0
+                diff = ev_raw(better, k, t, [r] * k, s) - ev_raw(worse, k, t, [r] * k, s)
+                assert c.poly.eval_exact(r, s) == c.scale * diff, name
 
 
 class TestIntervalSoundness:
@@ -117,6 +111,28 @@ class TestCertificates:
         assert cert.proved_empty
         assert cert.undecided_count == 0
         assert cert.boxes >= 1
+
+    @pytest.mark.parametrize(
+        "k, t, boxes, depth, pruned",
+        [
+            (3, 2, 3, 1, (0, 1, 1)),
+            (12, 12, 23, 11, (5, 6, 1)),
+            (14, 7, 33, 11, (9, 6, 2)),
+            (30, 5, 43, 15, (11, 9, 2)),
+        ],
+    )
+    def test_certificate_shapes_are_pinned(self, k, t, boxes, depth, pruned):
+        # a refactor of the constraint system that changes a proof shows here
+        cert = infeasibility_certificate(k, t)
+        assert cert.verdict is Verdict.PROVED_EMPTY
+        assert (cert.boxes, cert.deepest) == (boxes, depth)
+        assert cert.pruned == {
+            "mixer_indifferent_R_P": pruned[0],
+            "candidate_indifferent_S_P": pruned[1],
+            "mixer_prefers_P_over_S": pruned[2],
+            "committed_prefers_P_over_R": 0,
+            "committed_prefers_P_over_S": 0,
+        }
 
     def test_relaxed_system_is_undecided(self):
         kept = [

@@ -6,6 +6,8 @@ from math import comb
 import pytest
 
 from rps_forge import formulas
+from rps_forge.construct import imbalanced_rps3
+from rps_forge.equilibrium import MixedProfile, expected_payoff
 from rps_forge.formulas import (
     COMMITTED_ROLES,
     Role,
@@ -177,6 +179,31 @@ class TestRawOracle:
                 dist = _count_r_distribution(vec)
                 assert sum(dist) == 1
                 assert dist == [count_r_probability(vec, c) for c in range(n + 1)], vec
+
+
+class TestRawMatchesGame:
+    """``ev_raw`` is the scenario's expected payoff in the imbalanced
+    three-object game itself: exact equality with
+    ``equilibrium.expected_payoff`` on the scenario's mixed profile."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_every_role_matches_expected_payoff(self, k):
+        rng = random.Random(k)
+        for t in range(5):
+            game = imbalanced_rps3(k + t + 1)
+            for _ in range(3):
+                r_vec = [Fraction(rng.randint(0, 20), 20) for _ in range(k)]
+                s = Fraction(rng.randint(0, 20), 20)
+                profile = MixedProfile(
+                    vectors=tuple((r, 1 - r, Fraction(0)) for r in r_vec)
+                    + ((Fraction(0), Fraction(1), Fraction(0)),) * t
+                    + ((Fraction(0), 1 - s, s),)
+                )
+                player = {"mixer": 0, "committed": k, "candidate": k + t}
+                for role in all_roles_for(t):
+                    who, choice = role.value.split(":")
+                    expected = expected_payoff(game, profile, player[who], choice)
+                    assert ev_raw(role, k, t, r_vec, s) == expected, (role, k, t, r_vec, s)
 
 
 class TestRoutesAgree:

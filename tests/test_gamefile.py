@@ -1,5 +1,6 @@
 import pytest
 
+from rps_forge.cli import main
 from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3
 from rps_forge.core import enumerate_multisets, eval_outcome
 from rps_forge.gamefile import GameFileError, dump_game, load_game, parse_game, save_game
@@ -94,3 +95,28 @@ class TestParsing:
         with pytest.raises(GameFileError) as err:
             parse_game(text)
         assert err.value.line == 2
+
+    def test_duplicate_multiset_rejected(self):
+        # a second line for a multiset must not silently override the first
+        text = (
+            "rps m=2 objects=R,P,S\n"
+            "counts=1,1,0 winner=P\n"
+            "counts=1,0,1 winner=R\n"
+            "counts=0,1,1 winner=S\n"
+            "counts=1,1,0 winner=R\n"
+        )
+        with pytest.raises(GameFileError, match="duplicate line for multiset") as err:
+            parse_game(text)
+        assert err.value.line == 5
+
+    def test_duplicate_multiset_exits_with_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.rps"
+        path.write_text(
+            "rps m=2 objects=R,P,S\n"
+            "counts=1,1,0 winner=P\n"
+            "counts=1,1,0 winner=R\n"
+            "counts=1,0,1 winner=R\n"
+            "counts=0,1,1 winner=S\n"
+        )
+        assert main(["imbalance", str(path)]) == 2
+        assert "duplicate line for multiset (1, 1, 0) (line 3)" in capsys.readouterr().err
