@@ -4,7 +4,8 @@
 Prints the symmetric equilibrium table of the imbalanced three-object
 game, the expected winner count at twenty players, the lopsided-family
 payoff gap against its bound, the P-to-S play ratios, and a desk-scale
-infeasibility sweep summary.  Everything here is recomputed from
+infeasibility sweep summary (pairs proved empty over r in [0, 1] and
+the r-intervals their proofs took).  Everything here is recomputed from
 scratch; nothing is read from fixtures.
 """
 
@@ -87,11 +88,11 @@ def main() -> int:
     report = sweep(args.sweep_kmax, args.sweep_tmax, jobs=args.jobs)
     elapsed = time.perf_counter() - start
     verdicts = [r["verdict"] == "proved_empty" for r in report.records]
-    boxes = sum(r["boxes"] for r in report.records)
+    intervals = sum(r["boxes"] for r in report.records)
     print(
         f"infeasibility sweep k<={args.sweep_kmax}, t<={args.sweep_tmax}: "
-        f"{sum(verdicts)}/{len(verdicts)} proved empty, {boxes} boxes, "
-        f"{elapsed:.1f} s"
+        f"{sum(verdicts)}/{len(verdicts)} proved empty for r in [0, 1], "
+        f"{intervals} r-intervals, {elapsed:.1f} s"
     )
     ok = all(verdicts) and not report.incomplete
     print("all checks passed" if ok else "SOME CHECKS DID NOT PASS")

@@ -5,13 +5,18 @@ an equilibrium in which a single candidate ever plays S, the scenario
 probabilities (r, s) would have to satisfy a small polynomial system:
 the mixers indifferent between R and P and weakly preferring them to S,
 the candidate indifferent between S and P, and (when t > 0) the
-committed players weakly preferring P.  ``infeasibility_certificate``
-proves, by interval branch-and-prune over exact polynomial enclosures,
-that no such (r, s) exists in [delta, 1-delta]^2: a box is discarded
-only when an equality's enclosure excludes zero or a required
-inequality's enclosure is entirely negative, so an all-pruned run is a
-machine-checkable proof of emptiness.  The open margin below delta is
-reported, never glossed over.
+committed players weakly preferring P.  Every condition is linear in s,
+c0(r) + s*c1(r), and the mixer equality a0(r) + s*a1(r) = 0 fixes s
+wherever a1(r) is not zero.  ``eliminated_system`` uses it to remove s:
+each other condition with an s term becomes a1*(c0*a1 - c1*a0), which
+equals a1^2 times the condition wherever the mixer equality holds, so it
+must vanish (or be nonnegative) at every solution, whatever r and s are.
+``infeasibility_certificate`` proves, by bisecting r over exact
+polynomial enclosures, that these conditions in r alone have no common
+solution in [0, 1]: an r-interval is discarded only when an equality's
+enclosure excludes zero or a required inequality's enclosure is entirely
+negative, so an all-pruned run is a machine-checkable proof that no
+(r, s) with r in [0, 1], for any real s, satisfies the system.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .core import GameError, GameRule, eval_outcome
 from .equilibrium import MixedProfile, choice_count_distribution
 from .formulas import COMMITTED_ROLES, Role, ScenarioError, payoff_poly
-from .intervals import PRECISION_BITS, Interval, Poly2, ceil_dyadic, floor_dyadic
+from .intervals import Interval, Poly2
 
 DEFAULT_DELTA = Fraction(1, 10**6)
 MAX_DEPTH_LIMIT = 60
@@ -36,9 +40,12 @@ MAX_DEPTH_LIMIT = 60
 class Constraint:
     """One polynomial condition on (r, s).
 
-    ``kind`` is "eq" (must vanish) or "ge" (must be nonnegative).  The
-    polynomial equals ``scale``, a positive rational, times the payoff
-    difference it encodes, so zero sets and signs are preserved.
+    ``kind`` is "eq" (must vanish) or "ge" (must be nonnegative).  In
+    ``constraint_system`` the polynomial equals ``scale``, a positive
+    rational, times the payoff difference it encodes, so zero sets and
+    signs are preserved.  A condition ``eliminated_system`` has rid of s
+    equals ``scale`` * a1^2 times its ``constraint_system`` polynomial
+    wherever the mixer equality holds.
     """
 
     name: str
@@ -46,8 +53,10 @@ class Constraint:
     poly: Poly2
     scale: Fraction
 
-    def pruned_on(self, box_r: Interval, box_s: Interval, bits: int) -> bool:
-        enc = self.poly.eval_box(box_r, box_s, bits)
+    def pruned_on(self, box_r: Interval) -> bool:
+        """Whether the condition fails on all of ``box_r``; the polynomial
+        must be free of s, so the s argument of the enclosure is moot."""
+        enc = self.poly.eval_box(box_r, Interval.point(0))
         if self.kind == "eq":
             return not enc.contains_zero()
         return enc.entirely_negative()
@@ -80,21 +89,64 @@ def constraint_system(k: int, t: int) -> list[Constraint]:
     return constraints
 
 
+def eliminated_system(k: int, t: int) -> list[Constraint]:
+    """The conditions of ``constraint_system`` in r alone.
+
+    The mixer equality a0 + s*a1 = 0 is used up: each later condition
+    c0 + s*c1 with an s term becomes a1*(c0*a1 - c1*a0), integer-normalized,
+    which equals a1^2*(c0 + s*c1) wherever the equality holds (s*a1 = -a0
+    there).  So at every solution it vanishes where the condition is an
+    equality and is nonnegative where it is an inequality, with no division
+    by a1 and no case on its sign.  Conditions free of s stay as they are.
+    Names, kinds and order are kept.
+    """
+    mixer, *rest = constraint_system(k, t)
+    a0, a1 = mixer.poly.p0, mixer.poly.p1
+    eliminated = []
+    for c in rest:
+        if not c.poly.p1:
+            eliminated.append(c)
+            continue
+        h = _poly_sub(_poly_mul(c.poly.p0, a1), _poly_mul(c.poly.p1, a0))
+        poly, scale = Poly2(_poly_mul(a1, h)).integer_normalization()
+        eliminated.append(Constraint(name=c.name, kind=c.kind, poly=poly, scale=scale))
+    return eliminated
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
+
+
 class Verdict(enum.Enum):
     PROVED_EMPTY = "proved_empty"
     UNDECIDED = "undecided"
-
-
-Box = tuple[Interval, Interval]
 
 
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
     """Outcome of one branch-and-prune run for a (k, t) pair.
 
-    PROVED_EMPTY means every sub-box of the examined square was pruned by
-    a violated constraint enclosure; UNDECIDED reports surviving boxes
-    (depth or budget exhaustion) and is never wrong, only inconclusive.
+    PROVED_EMPTY means every r-interval of [0, 1] was pruned by a violated
+    constraint enclosure; UNDECIDED reports surviving intervals (depth or
+    budget exhaustion) and is never wrong, only inconclusive.  ``boxes``
+    counts the r-intervals examined, ``deepest`` their greatest bisection
+    depth, and ``pruned`` the intervals each constraint discarded, keyed
+    in the order the constraints are tried.  ``delta`` is the margin the
+    caller asked for; the proved region, r in [0, 1] for every s,
+    contains [delta, 1-delta]^2.
     """
 
     k: int
@@ -107,7 +159,7 @@ class InfeasibilityCertificate:
     depth_limit: int
     millis: float
     undecided_count: int
-    undecided_sample: tuple[Box, ...] = ()
+    undecided_sample: tuple[Interval, ...] = ()
     note: str = ""
 
     @property
@@ -153,74 +205,58 @@ def infeasibility_certificate(
     t: int,
     delta: Fraction | float = DEFAULT_DELTA,
     max_depth: int = 40,
-    constraints: Sequence[Constraint] | None = None,
     max_boxes: int = 2_000_000,
     undecided_cap: int = 64,
-    bits: int = PRECISION_BITS,
 ) -> InfeasibilityCertificate:
     """Prove (or fail to prove) that the scenario system has no solution
-    with r and s both in [delta, 1-delta].
+    with r in [0, 1], for any s.
 
-    The starting square is widened outward to dyadic endpoints, so the
-    proved region contains the requested one.  Subdivision bisects the
-    wider dimension.  A depth or box-budget exhaustion yields UNDECIDED,
-    never a false PROVED_EMPTY.
+    Bisects r from the exact root [0, 1] and tries the conditions of
+    ``eliminated_system`` on each interval in order.  That region
+    contains [delta, 1-delta]^2 for every admissible ``delta``, which is
+    validated and recorded.  A depth or box-budget exhaustion yields
+    UNDECIDED, never a false PROVED_EMPTY.
     """
     delta = Fraction(delta)
     if not 0 < delta <= Fraction(1, 100):
         raise ScenarioError(f"delta must lie in (0, 0.01], got {delta}")
     if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
         raise ScenarioError(f"max_depth must lie in 1..{MAX_DEPTH_LIMIT}")
-    if constraints is None:
-        constraints = constraint_system(k, t)
+    constraints = eliminated_system(k, t)
 
     start = time.perf_counter()
-    lo = floor_dyadic(delta, bits)
-    hi = ceil_dyadic(1 - delta, bits)
-    root: Box = (Interval(lo, hi), Interval(lo, hi))
-    stack: list[tuple[Box, int]] = [(root, 0)]
+    stack: list[tuple[Interval, int]] = [(Interval(Fraction(0), Fraction(1)), 0)]
     boxes = 0
     deepest = 0
     pruned: dict[str, int] = {c.name: 0 for c in constraints}
-    undecided: list[Box] = []
+    undecided: list[Interval] = []
     undecided_count = 0
     note = ""
 
     while stack:
-        (box_r, box_s), depth = stack.pop()
+        box, depth = stack.pop()
         boxes += 1
         deepest = max(deepest, depth)
         if boxes > max_boxes:
             note = f"box budget {max_boxes} exhausted"
             undecided_count += 1 + len(stack)
             if len(undecided) < undecided_cap:
-                undecided.append((box_r, box_s))
+                undecided.append(box)
             break
-        hit = None
-        for c in constraints:
-            if c.pruned_on(box_r, box_s, bits):
-                hit = c.name
-                break
+        hit = next((c.name for c in constraints if c.pruned_on(box)), None)
         if hit is not None:
             pruned[hit] += 1
             continue
         if depth >= max_depth:
             undecided_count += 1
             if len(undecided) < undecided_cap:
-                undecided.append((box_r, box_s))
+                undecided.append(box)
             if undecided_count >= undecided_cap:
                 note = note or f"stopped after {undecided_cap} surviving boxes"
                 undecided_count += len(stack)
                 break
             continue
-        if box_r.width() >= box_s.width():
-            left, right = box_r.halves()
-            stack.append(((left, box_s), depth + 1))
-            stack.append(((right, box_s), depth + 1))
-        else:
-            left, right = box_s.halves()
-            stack.append(((box_r, left), depth + 1))
-            stack.append(((box_r, right), depth + 1))
+        stack.extend((half, depth + 1) for half in box.halves())
 
     millis = (time.perf_counter() - start) * 1000.0
     verdict = Verdict.PROVED_EMPTY if undecided_count == 0 else Verdict.UNDECIDED
@@ -360,42 +396,6 @@ def sweep(
         incomplete=bool(skipped),
         skipped=skipped,
     )
-
-
-def grid_probe(
-    k: int,
-    t: int,
-    drop: Iterable[str] = (),
-    steps: int = 80,
-    slack: float = 1e-9,
-) -> list[tuple[float, float]]:
-    """Dense-grid audit: points of (0,1)^2 where every kept constraint is
-    satisfied within ``slack`` (relative to its largest coefficient).
-
-    Independent of the interval path; used to confirm that dropping a
-    constraint reopens a feasible set and that the full system shows no
-    near-feasible grid point.
-    """
-    kept = [c for c in constraint_system(k, t) if c.name not in set(drop)]
-    scales = [max(abs(x) for x in c.poly.coefficients()) for c in kept]
-    found = []
-    for i in range(1, steps):
-        r = Fraction(i, steps)
-        for j in range(1, steps):
-            s = Fraction(j, steps)
-            ok = True
-            for c, sc in zip(kept, scales):
-                v = c.poly.eval_exact(r, s) / sc
-                if c.kind == "eq":
-                    if abs(v) > slack:
-                        ok = False
-                        break
-                elif v < -slack:
-                    ok = False
-                    break
-            if ok:
-                found.append((float(r), float(s)))
-    return found
 
 
 @dataclass(frozen=True)

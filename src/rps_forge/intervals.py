@@ -20,16 +20,6 @@ from typing import Sequence
 PRECISION_BITS = 112
 
 
-def floor_dyadic(x: Fraction, bits: int = PRECISION_BITS) -> Fraction:
-    scaled = x.numerator * (1 << bits)
-    return Fraction(scaled // x.denominator, 1 << bits)
-
-
-def ceil_dyadic(x: Fraction, bits: int = PRECISION_BITS) -> Fraction:
-    scaled = x.numerator * (1 << bits)
-    return Fraction(-((-scaled) // x.denominator), 1 << bits)
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction
@@ -43,12 +33,6 @@ class Interval:
     def point(x: Fraction | int) -> "Interval":
         f = Fraction(x)
         return Interval(f, f)
-
-    def outward(self, bits: int = PRECISION_BITS) -> "Interval":
-        return Interval(floor_dyadic(self.lo, bits), ceil_dyadic(self.hi, bits))
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -77,13 +61,9 @@ class Poly2:
     __slots__ = ("p0", "p1", "_integer_form")
 
     def __init__(self, p0: Sequence[Fraction] = (), p1: Sequence[Fraction] = ()):
-        self.p0 = _trim([Fraction(c) for c in p0])
-        self.p1 = _trim([Fraction(c) for c in p1])
+        self.p0 = _trim([_rational(c) for c in p0])
+        self.p1 = _trim([_rational(c) for c in p1])
         self._integer_form = None
-
-    @staticmethod
-    def constant(c) -> "Poly2":
-        return Poly2([Fraction(c)], [])
 
     def __add__(self, other: "Poly2") -> "Poly2":
         return Poly2(_add(self.p0, other.p0), _add(self.p1, other.p1))
@@ -95,25 +75,24 @@ class Poly2:
         c = Fraction(c)
         return Poly2([c * x for x in self.p0], [c * x for x in self.p1])
 
-    @property
-    def degree_r(self) -> int:
-        return max(len(self.p0), len(self.p1)) - 1
-
     def coefficients(self) -> list[Fraction]:
         return list(self.p0) + list(self.p1)
 
     def integer_normalization(self) -> tuple["Poly2", Fraction]:
         """Scale by the positive rational that makes all coefficients
         integers with content 1.  Zero sets and signs are unchanged;
-        returns the scaled polynomial and the factor applied."""
+        returns the scaled polynomial, whose coefficients are ``int``s,
+        and the factor applied."""
         coeffs = [c for c in self.coefficients() if c != 0]
         if not coeffs:
             return self, Fraction(1)
         denom = lcm(*(c.denominator for c in coeffs))
-        scaled = [c * denom for c in coeffs]
-        content = gcd(*(abs(int(c)) for c in scaled))
-        factor = Fraction(denom, content)
-        return self.scale(factor), factor
+        content = gcd(*(c.numerator * (denom // c.denominator) for c in coeffs))
+
+        def scaled(cs):
+            return [c.numerator * (denom // c.denominator) // content for c in cs]
+
+        return Poly2(scaled(self.p0), scaled(self.p1)), Fraction(denom, content)
 
     def _integers(self) -> tuple[list[int], list[int], int]:
         if self._integer_form is None:
@@ -194,6 +173,12 @@ class Poly2:
 
     def __repr__(self):
         return f"Poly2(p0={self.p0}, p1={self.p1})"
+
+
+def _rational(c) -> Fraction | int:
+    """``c`` itself when it is already exact, else its exact ``Fraction``
+    (a float converts without rounding)."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 def _trim(c: list[Fraction]) -> list[Fraction]:

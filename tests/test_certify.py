@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_prover import grid_probe, reference_certificate
+from rps_forge import certify
 from rps_forge.certify import (
     Verdict,
     constraint_system,
     decimal_string,
-    grid_probe,
+    eliminated_system,
     infeasibility_certificate,
     ptype_to_s_ratio_check,
     sweep,
@@ -18,7 +20,7 @@ from rps_forge.certify import (
 from rps_forge.construct import imbalanced_rps
 from rps_forge.equilibrium import solve_symmetric_rps3, symmetric_profile
 from rps_forge.formulas import Role, ScenarioError, ev_raw
-from rps_forge.intervals import Interval, Poly2
+from rps_forge.intervals import PRECISION_BITS, Interval, Poly2
 
 
 class TestConstraintSystem:
@@ -36,11 +38,14 @@ class TestConstraintSystem:
         assert kinds[:2] == ["eq", "eq"] and "eq" not in kinds[2:]
 
     def test_degrees(self):
+        def degree_r(poly):
+            return max(len(poly.p0), len(poly.p1)) - 1
+
         for k, t in ((1, 0), (3, 2), (6, 4)):
-            by_name = {c.name: c for c in constraint_system(k, t)}
-            assert by_name["mixer_indifferent_R_P"].poly.degree_r <= k
+            by_name = {c.name: c.poly for c in constraint_system(k, t)}
+            assert degree_r(by_name["mixer_indifferent_R_P"]) <= k
             if t:
-                assert by_name["committed_prefers_P_over_R"].poly.degree_r <= k + 1
+                assert degree_r(by_name["committed_prefers_P_over_R"]) <= k + 1
 
     def test_integer_coefficients(self):
         for c in constraint_system(5, 3):
@@ -71,6 +76,39 @@ class TestConstraintSystem:
                 diff = ev_raw(better, k, t, [r] * k, s) - ev_raw(worse, k, t, [r] * k, s)
                 assert c.poly.eval_exact(r, s) == c.scale * diff, name
 
+    @pytest.mark.parametrize("k, t", [(1, 0), (2, 0), (3, 2), (5, 4), (8, 0), (12, 6), (30, 5)])
+    def test_elimination_is_a1_squared_times_the_condition(self, k, t):
+        # on the mixer curve s = -a0/a1, each eliminated polynomial is
+        # scale * a1^2 times the two-variable condition it came from
+        rng = random.Random(k * 100 + t)
+        mixer, *full = constraint_system(k, t)
+        eliminated = eliminated_system(k, t)
+        assert [(c.name, c.kind) for c in eliminated] == [(c.name, c.kind) for c in full]
+        assert mixer.name == "mixer_indifferent_R_P"
+        # the candidate alone plays S, so its indifference has no s term
+        assert full[0].name == "candidate_indifferent_S_P" and not full[0].poly.p1
+        zero = Fraction(0)
+        checked = 0
+        while checked < 20:
+            r = Fraction(rng.randint(0, 10**6), 10**6)
+            a0 = mixer.poly.eval_exact(r, zero)
+            a1 = mixer.poly.eval_exact(r, Fraction(1)) - a0
+            if a1 == 0:
+                continue
+            s = -a0 / a1
+            assert mixer.poly.eval_exact(r, s) == 0
+            for elim, c in zip(eliminated, full):
+                assert not elim.poly.p1, elim.name
+                if not c.poly.p1:
+                    # free of s: kept as it is
+                    assert (elim.poly.p0, elim.scale) == (c.poly.p0, c.scale)
+                    continue
+                assert elim.scale > 0
+                assert all(type(x) is int for x in elim.poly.p0)
+                value = elim.poly.eval_exact(r, zero)
+                assert value == elim.scale * a1**2 * c.poly.eval_exact(r, s), elim.name
+            checked += 1
+
 
 class TestIntervalSoundness:
     @settings(max_examples=40, deadline=None)
@@ -91,7 +129,7 @@ class TestIntervalSoundness:
                 r = lo_r + Fraction(rng.randint(0, 1000), 1000) * (hi_r - lo_r)
                 s = lo_s + Fraction(rng.randint(0, 1000), 1000) * (hi_s - lo_s)
                 value = c.poly.eval_exact(r, s)
-                assert enc_tight.contains(value)
+                assert enc_tight.lo <= value <= enc_tight.hi
 
     def test_box_enclosure_exact_for_nonnegative_shifted_coefficients(self):
         # r^3 over [1/4, 1/2]: every shifted coefficient is nonnegative,
@@ -102,6 +140,17 @@ class TestIntervalSoundness:
         enc = poly.eval_box(box, Interval.point(0))
         assert enc.lo == Fraction(1, 64)
         assert enc.hi == Fraction(1, 8)
+
+
+def relaxed(monkeypatch, dropped):
+    """Make ``infeasibility_certificate`` see the system without the
+    constraint named ``dropped``."""
+    full = constraint_system
+
+    def without(k, t):
+        return [c for c in full(k, t) if c.name != dropped]
+
+    monkeypatch.setattr(certify, "constraint_system", without)
 
 
 class TestCertificates:
@@ -115,6 +164,29 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "k, t, boxes, depth, pruned",
         [
+            (3, 2, 3, 1, (1, 1)),
+            (12, 12, 5, 2, (2, 1)),
+            (14, 7, 13, 6, (6, 1)),
+            (30, 5, 17, 8, (8, 1)),
+        ],
+    )
+    def test_interval_shapes_are_pinned(self, k, t, boxes, depth, pruned):
+        # a refactor of the constraint system or of the elimination that
+        # changes a proof shows here; the mixer equality is used up by the
+        # elimination and prunes nothing itself
+        cert = infeasibility_certificate(k, t)
+        assert cert.verdict is Verdict.PROVED_EMPTY
+        assert (cert.boxes, cert.deepest) == (boxes, depth)
+        assert list(cert.pruned.items()) == [
+            ("candidate_indifferent_S_P", pruned[0]),
+            ("mixer_prefers_P_over_S", pruned[1]),
+            ("committed_prefers_P_over_R", 0),
+            ("committed_prefers_P_over_S", 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "k, t, boxes, depth, pruned",
+        [
             (3, 2, 3, 1, (0, 1, 1)),
             (12, 12, 23, 11, (5, 6, 1)),
             (14, 7, 33, 11, (9, 6, 2)),
@@ -122,8 +194,8 @@ class TestCertificates:
         ],
     )
     def test_certificate_shapes_are_pinned(self, k, t, boxes, depth, pruned):
-        # a refactor of the constraint system that changes a proof shows here
-        cert = infeasibility_certificate(k, t)
+        # the two-variable reference prover on the system with s in it
+        cert = reference_certificate(k, t)
         assert cert.verdict is Verdict.PROVED_EMPTY
         assert (cert.boxes, cert.deepest) == (boxes, depth)
         assert cert.pruned == {
@@ -134,12 +206,74 @@ class TestCertificates:
             "committed_prefers_P_over_S": 0,
         }
 
+    def test_root_is_the_closed_unit_interval(self, monkeypatch):
+        # no margin: the first interval examined is exactly [0, 1], for
+        # any delta, and every later one lies inside it
+        for delta in (Fraction(1, 10**6), Fraction(1, 100)):
+            seen = []
+            kernel = Poly2.eval_box
+
+            def recording(poly, r, s, bits=PRECISION_BITS):
+                seen.append(r)
+                return kernel(poly, r, s, bits)
+
+            monkeypatch.setattr(Poly2, "eval_box", recording)
+            cert = infeasibility_certificate(5, 5, delta=delta)
+            monkeypatch.undo()
+            assert cert.proved_empty and cert.delta == delta
+            assert seen[0] == Interval(Fraction(0), Fraction(1))
+            assert all(0 <= r.lo < r.hi <= 1 for r in seen)
+
+    @pytest.mark.parametrize("k, t", [(2, 0), (3, 1)])
+    def test_one_variable_route_never_proves_a_feasible_relaxation_empty(
+        self, monkeypatch, k, t
+    ):
+        # as for the reference prover below, with each condition the
+        # elimination keeps dropped in turn; the mixer equality is what
+        # eliminates s, so it stays
+        names = [c.name for c in constraint_system(k, t)][1:]
+        feasible_relaxations = 0
+        for dropped in names:
+            points = grid_probe(k, t, drop=(dropped,), steps=60, slack=5e-3)
+            relaxed(monkeypatch, dropped)
+            cert = infeasibility_certificate(k, t, max_depth=10)
+            monkeypatch.undo()
+            assert dropped not in cert.pruned
+            if points:
+                feasible_relaxations += 1
+                assert cert.verdict is Verdict.UNDECIDED, (
+                    f"proved empty with {dropped} dropped, but the grid "
+                    f"found feasible points, e.g. {points[0]}"
+                )
+        assert feasible_relaxations >= 1  # the mutation set must bite
+
+    def test_interval_budget_yields_undecided(self):
+        cert = infeasibility_certificate(12, 6, max_boxes=2)
+        assert cert.verdict is Verdict.UNDECIDED
+        assert cert.note == "box budget 2 exhausted"
+        assert cert.undecided_count == 1
+        assert cert.undecided_sample == (Interval(Fraction(0), Fraction(1, 2)),)
+
+    def test_undecided_cap_counts_intervals_left_on_the_stack(self, monkeypatch):
+        relaxed(monkeypatch, "candidate_indifferent_S_P")
+        cert = infeasibility_certificate(2, 0, max_depth=12, undecided_cap=4)
+        assert "stopped after 4" in cert.note
+        assert len(cert.undecided_sample) == 4
+        assert cert.undecided_count > 4
+
+    def test_reference_prover_agrees_on_the_desk_scale_sweep(self):
+        # the two routes share the enclosure kernel but not the elimination
+        for k in range(1, 13):
+            for t in range(0, 13):
+                assert infeasibility_certificate(k, t).proved_empty, (k, t)
+                assert reference_certificate(k, t).proved_empty, (k, t)
+
     def test_relaxed_system_is_undecided(self):
         kept = [
             c for c in constraint_system(2, 0)
             if c.name != "candidate_indifferent_S_P"
         ]
-        cert = infeasibility_certificate(2, 0, constraints=kept, max_depth=12)
+        cert = reference_certificate(2, 0, constraints=kept, max_depth=12)
         assert cert.verdict is Verdict.UNDECIDED
         assert cert.undecided_count > 0
 
@@ -148,7 +282,7 @@ class TestCertificates:
             c for c in constraint_system(2, 0)
             if c.name != "candidate_indifferent_S_P"
         ]
-        cert = infeasibility_certificate(
+        cert = reference_certificate(
             2, 0, constraints=kept, max_depth=12, undecided_cap=4
         )
         assert "stopped after 4" in cert.note
@@ -185,7 +319,7 @@ class TestCertificates:
             c for c in constraint_system(2, 0)
             if c.name != "candidate_indifferent_S_P"
         ]
-        cert = infeasibility_certificate(
+        cert = reference_certificate(
             2, 0, constraints=kept, max_depth=40, max_boxes=50
         )
         assert cert.verdict is Verdict.UNDECIDED
@@ -194,14 +328,14 @@ class TestCertificates:
     @pytest.mark.parametrize("k, t", [(2, 0), (3, 1)])
     def test_never_proves_a_feasible_relaxation_empty(self, k, t):
         # dropping constraints one at a time: whenever the dense grid
-        # finds a feasible point for the relaxed system, the certificate
-        # must come back undecided, never proved-empty
+        # finds a feasible point for the relaxed system, the reference
+        # prover must come back undecided, never proved-empty
         names = [c.name for c in constraint_system(k, t)]
         feasible_relaxations = 0
         for dropped in names:
             points = grid_probe(k, t, drop=(dropped,), steps=60, slack=5e-3)
             kept = [c for c in constraint_system(k, t) if c.name != dropped]
-            cert = infeasibility_certificate(k, t, constraints=kept, max_depth=10)
+            cert = reference_certificate(k, t, constraints=kept, max_depth=10)
             if points:
                 feasible_relaxations += 1
                 assert cert.verdict is Verdict.UNDECIDED, (

@@ -295,8 +295,8 @@ class TestVerify:
         assert env["payload"]["delta"] == "0.000001"
 
     def test_undecided_certificate_exits_nonzero(self, capsys):
-        # this pair needs subdivision depth around 5; depth 2 leaves
-        # surviving boxes, so the verdict is undecided and the exit is 1
+        # this pair needs subdivision depth 3; depth 2 leaves a
+        # surviving interval, so the verdict is undecided and the exit is 1
         code, env, _ = run_json(
             capsys, "verify", "infeasibility", "--k", "5", "--t", "5", "--depth", "2"
         )
@@ -321,7 +321,7 @@ class TestVerify:
         assert env["payload"]["skipped"]
 
     def test_sweep_honours_depth(self, capsys):
-        # (12, 12) alone is undecided at depth 2, so the sweep must be too
+        # (5, 5) alone is undecided at depth 2, so the sweep must be too
         code, env, _ = run_json(
             capsys, "verify", "sweep", "--kmax", "12", "--tmax", "12", "--depth", "2"
         )
