@@ -30,7 +30,7 @@ from fractions import Fraction
 from .core import GameError, GameRule, eval_outcome
 from .equilibrium import MixedProfile, choice_count_distribution
 from .formulas import COMMITTED_ROLES, Role, ScenarioError, payoff_poly
-from .intervals import Interval, Poly2
+from .intervals import Interval, Poly2, poly_mul, poly_sub
 
 DEFAULT_DELTA = Fraction(1, 10**6)
 MAX_DEPTH_LIMIT = 60
@@ -107,27 +107,10 @@ def eliminated_system(k: int, t: int) -> list[Constraint]:
         if not c.poly.p1:
             eliminated.append(c)
             continue
-        h = _poly_sub(_poly_mul(c.poly.p0, a1), _poly_mul(c.poly.p1, a0))
-        poly, scale = Poly2(_poly_mul(a1, h)).integer_normalization()
+        h = poly_sub(poly_mul(c.poly.p0, a1), poly_mul(c.poly.p1, a0))
+        poly, scale = Poly2(poly_mul(a1, h)).integer_normalization()
         eliminated.append(Constraint(name=c.name, kind=c.kind, poly=poly, scale=scale))
     return eliminated
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 class Verdict(enum.Enum):
@@ -418,21 +401,16 @@ class PlayerRatioReport:
     tie_probe: float | None
 
 
-def ptype_to_s_ratio_check(
-    rule: GameRule, profile: MixedProfile, m: int | None = None
-) -> list[PlayerRatioReport]:
+def ptype_to_s_ratio_check(rule: GameRule, profile: MixedProfile) -> list[PlayerRatioReport]:
     """Check P-type versus S play proportions in an equilibrium profile.
 
     For each player the ratio of total P-type probability to S
-    probability is compared against m - 1; players who never play S are
-    reported vacuous rather than passing or failing.
+    probability is compared against m - 1, with m the game's player
+    count; players who never play S are reported vacuous rather than
+    passing or failing.
     """
     if rule.levels is None:
         raise GameError("rule carries no level metadata")
-    if m is None:
-        m = rule.m
-    elif m != rule.m:
-        raise GameError(f"profile is for {m} players but the game has {rule.m}")
     if profile.m != rule.m:
         raise GameError("profile size does not match the game")
     p_type = [i for i, lab in enumerate(rule.labels) if lab.startswith("P")]
@@ -457,20 +435,12 @@ def ptype_to_s_ratio_check(
                 den += float(pr)
                 num += float(pr) * (out.winner_count - 1)
         probe = (num / den) if den > 0 else None
-        if ps <= 0.0:
-            reports.append(
-                PlayerRatioReport(
-                    player=i, p_type_prob=tp, s_prob=ps, ratio=None,
-                    satisfied=None, vacuous=True, tie_probe=probe,
-                )
+        ratio = None if ps <= 0.0 else tp / ps
+        reports.append(
+            PlayerRatioReport(
+                player=i, p_type_prob=tp, s_prob=ps, ratio=ratio,
+                satisfied=None if ratio is None else ratio >= (rule.m - 1) - 1e-12,
+                vacuous=ratio is None, tie_probe=probe,
             )
-        else:
-            ratio = tp / ps
-            reports.append(
-                PlayerRatioReport(
-                    player=i, p_type_prob=tp, s_prob=ps, ratio=ratio,
-                    satisfied=ratio >= (m - 1) - 1e-12, vacuous=False,
-                    tie_probe=probe,
-                )
-            )
+        )
     return reports

@@ -237,8 +237,8 @@ def cmd_nash(args) -> tuple[dict, bool]:
     return _envelope("nash", config, payload), True
 
 
-def _imbalance_stats(rule: GameRule, alphas, seed) -> dict:
-    payoffs = uniform_expected_payoffs(rule)
+def _imbalance_stats(rule: GameRule, payoffs, alphas, seed) -> dict:
+    """Statistics of one game whose uniform expected payoffs are ``payoffs``."""
     stats = {
         "payoffs": [str(x) for x in payoffs],
         "ui_variance": str(ui_variance(payoffs)),
@@ -282,14 +282,16 @@ def cmd_imbalance(args) -> tuple[dict, bool]:
     }
     rules = [load_game(p) for p in args.games]
     if len(rules) == 1:
-        payload = _imbalance_stats(rules[0], args.alpha, args.seed)
+        payload = _imbalance_stats(
+            rules[0], uniform_expected_payoffs(rules[0]), args.alpha, args.seed
+        )
         return _envelope("imbalance", config, payload), True
     g1, g2 = rules
     comparison = schur_compare(g1, g2, alphas=args.alpha)
     payload = {
         "relation": comparison.relation.value,
-        "game1": _imbalance_stats(g1, args.alpha, args.seed),
-        "game2": _imbalance_stats(g2, args.alpha, args.seed),
+        "game1": _imbalance_stats(g1, comparison.payoffs[0], args.alpha, args.seed),
+        "game2": _imbalance_stats(g2, comparison.payoffs[1], args.alpha, args.seed),
         "records": [
             {
                 "statistic": name,

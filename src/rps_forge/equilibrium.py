@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul, sub
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import GameError, GameRule, eval_outcome, tie_payoff
+from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
 
 Number = float | Fraction
 Vector = tuple[Number, ...]
@@ -91,6 +91,11 @@ def _payoff_against(rule: GameRule, pure: int, opp_counts: tuple[int, ...]) -> F
     return Fraction(-1)
 
 
+def _payoff_row(rule: GameRule, counts: tuple[int, ...]) -> tuple[float, ...]:
+    """Float payoff of every object against the opponent counts ``counts``."""
+    return tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
+
+
 def expected_payoff(
     rule: GameRule, profile: MixedProfile, player: int, pure: int | str
 ) -> Number:
@@ -119,6 +124,27 @@ class NashGapReport:
         return self.gap <= eps
 
 
+def _opponent_payoffs(
+    rule: GameRule, rows: dict[tuple[int, ...], tuple[float, ...]], others: Sequence[Vector]
+) -> list[float]:
+    """Float expected payoff of every object against opponents mixing by
+    ``others``, summed in count-distribution order.  ``rows`` maps opponent
+    counts to their ``_payoff_row``; missing rows are computed and added."""
+    terms = []
+    for counts, pr in choice_count_distribution(others, rule.n).items():
+        row = rows.get(counts)
+        if row is None:
+            row = rows[counts] = _payoff_row(rule, counts)
+        terms.append((float(pr), row))
+    u = []
+    for o in range(rule.n):
+        tot = 0.0
+        for pr, row in terms:
+            tot += pr * row[o]
+        u.append(tot)
+    return u
+
+
 def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
     """How much any player could gain by deviating to a pure strategy.
 
@@ -129,7 +155,9 @@ def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
     operations, and hence the report, are those of evaluating every
     player on their own.
     """
-    pay: dict[tuple[int, ...], tuple[float, ...]] = {}
+    if profile.m != rule.m:
+        raise GameError(f"profile has {profile.m} players, game has {rule.m}")
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     seen: dict[tuple, list[float]] = {}
     per_player: list[tuple[float, ...]] = []
     gaps: list[float] = []
@@ -138,20 +166,7 @@ def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
         key = tuple(tuple((type(p), p) for p in v) for v in others)
         u = seen.get(key)
         if u is None:
-            terms = []
-            for counts, pr in choice_count_distribution(others, rule.n).items():
-                if counts not in pay:
-                    pay[counts] = tuple(
-                        float(_payoff_against(rule, o, counts)) for o in range(rule.n)
-                    )
-                terms.append((float(pr), pay[counts]))
-            u = []
-            for o in range(rule.n):
-                tot = 0.0
-                for pr, row in terms:
-                    tot += pr * row[o]
-                u.append(tot)
-            seen[key] = u
+            u = seen[key] = _opponent_payoffs(rule, rows, others)
         current = sum(float(p) * uo for p, uo in zip(profile.vectors[i], u))
         gaps.append(max(0.0, max(u) - current))
         per_player.append(tuple(u))
@@ -172,6 +187,38 @@ class SymmetricRps3Equilibrium:
         return (self.r, self.p, self.s)
 
 
+def _bisect(belongs_with_lo: Callable[[float], bool], lo: float, hi: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after at most ``steps`` halvings, a midpoint
+    replacing lo where ``belongs_with_lo`` holds and hi elsewhere.  Stops
+    once the midpoint rounds onto an end: later steps would return it too."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if belongs_with_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _sign_changes(
+    f: Callable[[float], float | None], points: Iterable[float]
+) -> Iterator[tuple[float, float, float]]:
+    """``(lo, f(lo), hi)`` for each pair of consecutive ``points`` where f
+    changes sign or is exactly zero at hi, skipping points where f is
+    None.  Points are evaluated lazily, in order; an exact zero counts as
+    nonpositive when it is the lo of the next pair."""
+    prev = None
+    for x in points:
+        g = f(x)
+        if g is None:
+            continue
+        if prev is not None and (g == 0 or (prev[1] > 0) != (g > 0)):
+            yield prev[0], prev[1], x
+        prev = (x, g)
+
+
 def _inner_p_root(m: int, r: float) -> float | None:
     """The positive root p of (p+r)^m = p + r^m, if one exists.
 
@@ -179,36 +226,28 @@ def _inner_p_root(m: int, r: float) -> float | None:
     dip of f(p) = (p+r)^m - p - r^m, which exists only while
     r < (1/m)^(1/(m-1)).
     """
+    rm = r**m
 
-    def f(p: float) -> float:
-        return (p + r) ** m - p - r**m
+    def below(p: float) -> bool:
+        """Whether f(p) < 0."""
+        return (p + r) ** m - p - rm < 0
 
     turn = (1.0 / m) ** (1.0 / (m - 1)) - r
     if turn <= 0:
         return None
     hi = 1.0 - r
-    if turn >= hi or f(turn) >= 0:
+    if turn >= hi or not below(turn) or below(hi):
         return None
-    lo = turn
-    if f(hi) < 0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(below, turn, hi, 200)
 
 
 def solve_symmetric_rps3(m: int, tol: float = 1e-12) -> SymmetricRps3Equilibrium:
     """Solve the symmetric equilibrium system for the imbalanced game.
 
-    Bisects on r in the outer equation, resolving p from the inner
-    equation at each step, and rejects boundary roots: the reported
-    solution has r, p, s all strictly inside (0, 1).
+    Scans a grid of r for the first sign change of the outer equation,
+    resolving p from the inner equation at each point, then bisects r
+    there, and rejects boundary roots: the reported solution has r, p, s
+    all strictly inside (0, 1).
     """
     if m < 2:
         raise GameError(f"need at least two players, got {m}")
@@ -224,34 +263,18 @@ def solve_symmetric_rps3(m: int, tol: float = 1e-12) -> SymmetricRps3Equilibrium
 
     r_max = (1.0 / m) ** (1.0 / (m - 1))
     grid = 256
-    prev_r, prev_g = None, None
-    bracket = None
-    for i in range(1, grid):
-        r = r_max * i / grid
-        g = outer(r)
-        if g is None:
-            continue
-        if prev_g is not None and (g == 0 or (prev_g > 0) != (g > 0)):
-            bracket = (prev_r, r)
-            break
-        prev_r, prev_g = r, g
+    bracket = next(_sign_changes(outer, (r_max * i / grid for i in range(1, grid))), None)
     if bracket is None:
         raise SolverError(f"no interior equilibrium bracketed for m={m}")
+    lo, glo, hi = bracket
 
-    lo, hi = bracket
-    glo = outer(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g = outer(mid)
+    def with_lo(r: float) -> bool:
+        g = outer(r)
         if g is None:
             raise SolverError(f"inner root vanished during bisection at m={m}")
-        if (g > 0) == (glo > 0):
-            lo, glo = mid, g
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
+        return (g > 0) == (glo > 0)
+
+    r = _bisect(with_lo, lo, hi, 200)
     p = _inner_p_root(m, r)
     if p is None:
         raise SolverError(f"inner root lost at the outer solution for m={m}")
@@ -274,8 +297,6 @@ def expected_winner_count(vector: Sequence[Number], rule: GameRule) -> Number:
     enumeration; with n objects and m players this visits
     C(m+n-1, n-1) outcomes.
     """
-    from .core import enumerate_multisets
-
     v = tuple(vector)
     if len(v) != rule.n:
         raise GameError(f"profile has {len(v)} entries for {rule.n} objects")
@@ -318,14 +339,12 @@ class SearchConfig:
             raise GameError(f"dedup must be positive, got {self.dedup}")
 
 
-def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, tuple[int, ...]], float]:
-    from .core import enumerate_multisets
-
-    cache = {}
-    for counts, _ in enumerate_multisets(rule.n, rule.m - 1):
-        for o in range(rule.n):
-            cache[(o, counts)] = float(_payoff_against(rule, o, counts))
-    return cache
+def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, ...], tuple[float, ...]]:
+    """``_payoff_row`` for every count vector of the m - 1 opponents."""
+    return {
+        counts: _payoff_row(rule, counts)
+        for counts, _ in enumerate_multisets(rule.n, rule.m - 1)
+    }
 
 
 def _payoff_rows(rule: GameRule, cache: dict) -> list[list[float]]:
@@ -338,15 +357,15 @@ def _payoff_rows(rule: GameRule, cache: dict) -> list[list[float]]:
         for o in picks:
             counts[o] += 1
         keys.append(tuple(counts))
-    return [[cache[(o, counts)] for counts in keys] for o in range(n)]
+    return [[cache[counts][o] for counts in keys] for o in range(n)]
 
 
-def _symmetric_payoffs(cache: dict, rule: GameRule, v: Sequence[float]) -> list[float]:
-    dist = choice_count_distribution([tuple(v)] * (rule.m - 1), rule.n)
-    return [
-        sum(pr * cache[(o, counts)] for counts, pr in dist.items())
-        for o in range(rule.n)
-    ]
+def _random_simplex(rng: random.Random, size: int) -> list[float]:
+    """A uniform random point of the probability simplex on ``size``
+    entries: normalized exponential draws."""
+    raw = [rng.expovariate(1.0) for _ in range(size)]
+    tot = sum(raw)
+    return [w / tot for w in raw]
 
 
 def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
@@ -383,39 +402,27 @@ def _symmetric_support_candidates(
         return [lift([1.0])]
 
     def diffs(x: list[float]) -> list[float]:
-        u = _symmetric_payoffs(cache, rule, lift(x + [1.0 - sum(x)]))
+        v = lift(x + [1.0 - sum(x)])
+        u = _opponent_payoffs(rule, cache, [v] * (rule.m - 1))
         last = u[support[-1]]
         return [u[o] - last for o in support[:-1]]
 
     if size == 2:
+        def gap(x: float) -> float:
+            return diffs([x])[0]
+
         out = []
         grid = 128
-        prev = None
-        for i in range(grid + 1):
-            x = i / grid
-            g = diffs([x])[0]
-            if prev is not None and (g == 0 or (prev[1] > 0) != (g > 0)):
-                lo, hi = prev[0], x
-                glo = prev[1]
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    gm = diffs([mid])[0]
-                    if (gm > 0) == (glo > 0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                root = 0.5 * (lo + hi)
-                out.append(lift([root, 1.0 - root]))
-            prev = (x, g)
+        for lo, glo, hi in _sign_changes(gap, (i / grid for i in range(grid + 1))):
+            root = _bisect(lambda x: (gap(x) > 0) == (glo > 0), lo, hi, 100)
+            out.append(lift([root, 1.0 - root]))
         return out
 
     # size >= 3: damped Newton with numerical Jacobian, multistart
     found: list[tuple[float, ...]] = []
     starts: list[list[float]] = [[1.0 / size] * (size - 1)]
     for _ in range(24):
-        raw = [rng.expovariate(1.0) for _ in range(size)]
-        tot = sum(raw)
-        starts.append([w / tot for w in raw[:-1]])
+        starts.append(_random_simplex(rng, size)[:-1])
     h = 1e-7
     for x in starts:
         x = x[:]
@@ -471,11 +478,7 @@ def _best_response_profiles(
     damping = config.damping
     results = []
     for _ in range(config.starts):
-        vectors = []
-        for _ in range(m):
-            raw = [rng.expovariate(1.0) for _ in range(n)]
-            tot = sum(raw)
-            vectors.append([w / tot for w in raw])
+        vectors = [_random_simplex(rng, n) for _ in range(m)]
         change = 1.0
         saved, mark = None, 1
         for it in range(config.max_iter):

@@ -50,13 +50,17 @@ def majorizes(
     """Compare two equal-length vectors by descending prefix sums.
 
     Totals must agree within ``tol`` for any verdict other than
-    INCOMPARABLE.  Exact inputs (fractions) compare exactly.
+    INCOMPARABLE, and prefix sums closer than ``tol`` count as equal.
+    ``tol`` applies only when an entry is a float: exact inputs (ints and
+    fractions) compare exactly.
     """
     if len(a) != len(b):
         raise GameError(f"length mismatch: {len(a)} vs {len(b)}")
+    if not any(isinstance(x, float) for x in (*a, *b)):
+        tol = 0
     sa = sorted(a, reverse=True)
     sb = sorted(b, reverse=True)
-    if abs(float(sum(sa) - sum(sb))) > tol:
+    if abs(sum(sa) - sum(sb)) > tol:
         return MajorizationRelation.INCOMPARABLE
     ge = True
     le = True
@@ -66,9 +70,9 @@ def majorizes(
         pa = pa + xa
         pb = pb + xb
         d = pa - pb
-        if float(d) > tol:
+        if d > tol:
             le = False
-        if float(d) < -tol:
+        if d < -tol:
             ge = False
     if ge and le:
         return MajorizationRelation.EQUAL

@@ -7,6 +7,10 @@ Python integers over one common denominator and rounded outward onto the
 endpoints up), so every computed interval encloses the true range.  No
 hardware rounding is involved anywhere, which makes results
 reproducible bit-for-bit across platforms.
+
+``poly_mul`` and ``poly_sub`` are the package's exact arithmetic on
+univariate coefficient lists: ``Poly2.__sub__`` and
+``certify.eliminated_system`` both build on them.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class Interval:
 
 class Poly2:
     """Polynomial in (r, s) with exact rational coefficients, at most
-    linear in s.  Written as p0(r) + s * p1(r)."""
+    linear in s.  Written as p0(r) + s * p1(r), each part a coefficient
+    list, lowest degree first."""
 
     __slots__ = ("p0", "p1", "_integer_form")
 
@@ -65,34 +70,23 @@ class Poly2:
         self.p1 = _trim([_rational(c) for c in p1])
         self._integer_form = None
 
-    def __add__(self, other: "Poly2") -> "Poly2":
-        return Poly2(_add(self.p0, other.p0), _add(self.p1, other.p1))
-
     def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "Poly2":
-        c = Fraction(c)
-        return Poly2([c * x for x in self.p0], [c * x for x in self.p1])
-
-    def coefficients(self) -> list[Fraction]:
-        return list(self.p0) + list(self.p1)
+        return Poly2(poly_sub(self.p0, other.p0), poly_sub(self.p1, other.p1))
 
     def integer_normalization(self) -> tuple["Poly2", Fraction]:
         """Scale by the positive rational that makes all coefficients
-        integers with content 1.  Zero sets and signs are unchanged;
-        returns the scaled polynomial, whose coefficients are ``int``s,
-        and the factor applied."""
-        coeffs = [c for c in self.coefficients() if c != 0]
-        if not coeffs:
+        integers with content 1: the cached common denominator over the
+        gcd of the numerators.  Zero sets and signs are unchanged; returns
+        the scaled polynomial, whose coefficients are ``int``s, and the
+        factor applied."""
+        num0, num1, q = self._integers()
+        content = gcd(*num0, *num1)
+        if content == 0:
             return self, Fraction(1)
-        denom = lcm(*(c.denominator for c in coeffs))
-        content = gcd(*(c.numerator * (denom // c.denominator) for c in coeffs))
-
-        def scaled(cs):
-            return [c.numerator * (denom // c.denominator) // content for c in cs]
-
-        return Poly2(scaled(self.p0), scaled(self.p1)), Fraction(denom, content)
+        return (
+            Poly2([c // content for c in num0], [c // content for c in num1]),
+            Fraction(q, content),
+        )
 
     def _integers(self) -> tuple[list[int], list[int], int]:
         if self._integer_form is None:
@@ -187,12 +181,23 @@ def _trim(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of two univariate polynomials, each
+    given lowest degree first; exact for ``int`` and ``Fraction``."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_sub(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a - b, lowest degree first, as long as the longer."""
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
     return out
 
 

@@ -145,7 +145,7 @@ def grid_probe(
     near-feasible grid point.
     """
     kept = [c for c in constraint_system(k, t) if c.name not in set(drop)]
-    scales = [max(abs(x) for x in c.poly.coefficients()) for c in kept]
+    scales = [max(abs(x) for x in (*c.poly.p0, *c.poly.p1)) for c in kept]
     found = []
     for i in range(1, steps):
         r = Fraction(i, steps)

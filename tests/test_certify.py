@@ -18,6 +18,7 @@ from rps_forge.certify import (
     sweep,
 )
 from rps_forge.construct import imbalanced_rps
+from rps_forge.core import GameError
 from rps_forge.equilibrium import solve_symmetric_rps3, symmetric_profile
 from rps_forge.formulas import Role, ScenarioError, ev_raw
 from rps_forge.intervals import PRECISION_BITS, Interval, Poly2
@@ -49,7 +50,7 @@ class TestConstraintSystem:
 
     def test_integer_coefficients(self):
         for c in constraint_system(5, 3):
-            assert all(x.denominator == 1 for x in c.poly.coefficients())
+            assert all(x.denominator == 1 for x in (*c.poly.p0, *c.poly.p1))
 
     @pytest.mark.parametrize("k, t", [(1, 0), (2, 0), (3, 2), (5, 4), (8, 0), (12, 6)])
     def test_matches_formula_differences(self, k, t):
@@ -504,6 +505,6 @@ class TestRatioCheck:
 
     def test_player_count_mismatch(self):
         rule = imbalanced_rps(3, 1)
-        profile = symmetric_profile((0.3, 0.5, 0.2), 3)
-        with pytest.raises(Exception):
-            ptype_to_s_ratio_check(rule, profile, m=4)
+        profile = symmetric_profile((0.3, 0.5, 0.2), 4)
+        with pytest.raises(GameError, match="does not match"):
+            ptype_to_s_ratio_check(rule, profile)

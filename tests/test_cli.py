@@ -394,11 +394,14 @@ class TestJobsDefault:
 class TestOutputContracts:
     def test_payload_determinism(self, capsys, tmp_path):
         game = tmp_path / "g.rps"
+        other = tmp_path / "h.rps"
         run_json(capsys, "build", "--family", "imbalanced3", "--m", "3", "--out", str(game))
+        run_json(capsys, "build", "--family", "maximal3", "--m", "3", "--out", str(other))
         for argv in (
             ("verify", "identities", "--kmax", "6", "--tmax", "6"),
             ("nash", "--family", "imbalanced3", "--m", "3", "--mode", "search", "--seed", "7"),
             ("imbalance", str(game), "--seed", "3"),
+            ("imbalance", str(game), str(other), "--seed", "3"),
             ("verify", "conjecture2", "--m", "3", "--k", "2", "--seed", "1"),
         ):
             _, env1, _ = run_json(capsys, *argv)

@@ -11,6 +11,7 @@ repeat of the state, so equality also shows that ending a cycling start
 at its first repeat changes no result.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -103,6 +104,11 @@ class TestNashGap:
         assert report.gap <= 1e-8
         if m == 5:
             assert report.gap <= 1e-9
+
+    def test_player_count_mismatch_rejected(self):
+        rule = imbalanced_rps3(5)
+        with pytest.raises(GameError, match="profile has 3 players, game has 5"):
+            nash_gap(rule, uniform_profile(imbalanced_rps3(3)))
 
 
 def reference_nash_gap(rule, profile):
@@ -228,6 +234,54 @@ class TestSymmetricSolver:
         with pytest.raises(GameError):
             solve_symmetric_rps3(3, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (2, "r=0.33333333333333337, p=0.33333333333333326, s=0.33333333333333337, "
+                "residuals=(2.7755575615628914e-17, 1.3877787807814457e-17)"),
+            (3, "r=0.3243843760820794, p=0.4731531282462378, s=0.20246249567168284, "
+                "residuals=(1.0408340855860843e-16, 5.551115123125783e-17)"),
+            (20, "r=0.1418802949266446, p=0.8500283382972424, s=0.00809136677611294, "
+                 "residuals=(1.2103198187855172e-15, 5.551115123125783e-17)"),
+            (100, "r=0.04521871913578451, p=0.9543137624838649, s=0.00046751838035058446, "
+                  "residuals=(1.2323475573339238e-14, 3.8163916471489756e-17)"),
+        ],
+    )
+    def test_solutions_are_pinned(self, m, want):
+        assert repr(solve_symmetric_rps3(m)) == f"SymmetricRps3Equilibrium(m={m}, {want})"
+
+
+class TestBracketing:
+    def test_sign_changes_yield_exact_zeros_and_skip_none(self):
+        values = {0: -1.0, 1: None, 2: 0.0, 3: 2.0, 4: 3.0, 5: -1.0}
+        got = list(equilibrium._sign_changes(values.get, range(6)))
+        # the zero at 2 ends a bracket, and as the next lo it counts as
+        # nonpositive, so 2.0 at 3 ends another
+        assert got == [(0, -1.0, 2), (2, 0.0, 3), (4, 3.0, 5)]
+
+    def test_bisect_stops_where_the_midpoint_rounds_onto_an_end(self):
+        calls = []
+
+        def below_third(x):
+            calls.append(x)
+            return x < 1 / 3
+
+        root = equilibrium._bisect(below_third, 0.0, 1.0, 200)
+        assert abs(root - 1 / 3) <= math.ulp(1 / 3)
+        assert len(calls) < 60
+        assert equilibrium._bisect(below_third, 0.0, 1.0, 3) == 0.3125
+
+    def test_exact_zero_belongs_with_lo(self):
+        # On odd-one-out m=2 the payoff difference on support {a, b} is
+        # exactly 0.0 at every grid point and midpoint evaluated, so all
+        # 128 brackets start and end on a zero.  A zero at a midpoint
+        # replaces lo, so each root lands on its bracket's upper end.
+        rule = odd_one_out(2)
+        got = equilibrium._symmetric_support_candidates(
+            rule, (0, 1), _pure_payoff_cache(rule), random.Random(0)
+        )
+        assert got == [(i / 128, 1 - i / 128) for i in range(1, 129)]
+
 
 class TestExpectedWinnerCount:
     def test_pure_monoset_profile(self):
@@ -282,12 +336,42 @@ class TestSearch:
         for prof, report in search_equilibria(rule, cfg):
             assert report.gap <= cfg.eps
 
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            pytest.param(
+                lambda: odd_one_out(2),
+                "ad383c0a5a2ad3c621f8e97806f2126a0c7182903763bec8798b2c558dda3c13",
+                id="odd-one-out m=2",
+            ),
+            pytest.param(
+                lambda: odd_one_out(3),
+                "54e3da4c64f74297e35ddd8a765b8c91d42a5c574a98187d85760d745e9d4a70",
+                id="odd-one-out m=3",
+            ),
+            pytest.param(
+                lambda: random_table_rule(random.Random(1), 3, 3),
+                "05b4665388a72fcf5b274dc84a1d9b5a535b5010ebe2f9a3ebf9e733078f98eb",
+                id="random m=3 n=3 #1",
+            ),
+        ],
+    )
+    def test_results_with_exact_zero_roots_are_pinned(self, make, digest):
+        # Two-object support brackets that start or end on an exact 0.0
+        # payoff difference.  On odd-one-out m=2 the difference is 0.0 at
+        # every grid point, so all 128 brackets do both; on the other two
+        # games every such bracket has grid point 1/2 at an end.  The
+        # digest covers every vector, payoff and gap bit for bit.
+        found = search_equilibria(make(), SearchConfig(seed=1, starts=10))
+        text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 def _reference_payoffs(cache, rule, vectors, player):
     others = [tuple(v) for i, v in enumerate(vectors) if i != player]
     dist = choice_count_distribution(others, rule.n)
     return [
-        sum(pr * cache[(o, counts)] for counts, pr in dist.items())
+        sum(pr * cache[counts][o] for counts, pr in dist.items())
         for o in range(rule.n)
     ]
 

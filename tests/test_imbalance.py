@@ -160,12 +160,22 @@ class TestMajorizes:
         b = (6, 3, 2, 1)
         assert majorizes(a, b) is MajorizationRelation.INCOMPARABLE
 
-    @pytest.mark.parametrize("m", range(2, 13))
+    # at m = 75 the payoff vectors differ by about 1.9e-13, under the
+    # float tolerance, which must not apply to exact payoffs
+    @pytest.mark.parametrize("m", [*range(2, 13), 75])
     def test_families_ordered(self, m):
         fm = uniform_expected_payoffs(maximal_rps3(m))
         fi = uniform_expected_payoffs(imbalanced_rps3(m))
         assert majorizes(fm, fi) is MajorizationRelation.MAJORIZES
         assert majorizes(fi, fm) is MajorizationRelation.MAJORIZED_BY
+
+    def test_tolerance_applies_only_to_floats(self):
+        eps = Fraction(1, 10**15)
+        exact = ((1 + eps, -eps, 0), (1, 0, 0))
+        assert majorizes(*exact) is MajorizationRelation.MAJORIZES
+        assert majorizes((1 + eps, 0), (1, 0)) is MajorizationRelation.INCOMPARABLE
+        floats = ([float(x) for x in exact[0]], exact[1])
+        assert majorizes(*floats) is MajorizationRelation.EQUAL
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

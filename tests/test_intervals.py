@@ -219,3 +219,18 @@ def test_zero_polynomial_encloses_zero_only():
     assert reference_eval_box(Poly2(), box, box) == Interval.point(0)
     assert bernstein_reference_eval_box(Poly2(), box, box) == Interval.point(0)
 
+
+@pytest.mark.parametrize(
+    "poly, want, factor",
+    [
+        # the denominator and the content are taken over both parts
+        (Poly2([2, 4], [Fraction(1, 3)]), ([6, 12], [1]), Fraction(3)),
+        (Poly2([6], [Fraction(-9, 2)]), ([4], [-3]), Fraction(2, 3)),
+        (Poly2([Fraction(-4, 3), 0, Fraction(8, 9)]), ([-3, 0, 2], []), Fraction(9, 4)),
+        (Poly2(), ([], []), Fraction(1)),
+    ],
+)
+def test_integer_normalization(poly, want, factor):
+    got, scale = poly.integer_normalization()
+    assert (got.p0, got.p1) == want and scale == factor
+    assert all(type(c) is int for c in (*got.p0, *got.p1))
