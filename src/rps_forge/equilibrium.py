@@ -13,11 +13,12 @@ whose outputs are only ever reported after independent verification.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from operator import mul, sub
+from itertools import chain, combinations, compress, product
+from operator import and_, ge, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
@@ -43,6 +44,8 @@ class MixedProfile:
         for v in self.vectors:
             if any(p < 0 for p in v):
                 raise GameError(f"negative probability in {v}")
+            if not all(map(math.isfinite, v)):  # NaN passes the other two checks
+                raise GameError(f"non-finite probability in {v}")
             if abs(float(sum(v)) - 1.0) > PROB_SUM_TOL:
                 raise GameError(f"probabilities sum to {float(sum(v))}, not 1")
         if self.symmetric and len(set(self.vectors)) > 1:
@@ -461,55 +464,69 @@ def _symmetric_support_candidates(
 def _best_response_profiles(
     rule: GameRule, cache: dict, config: SearchConfig, rng: random.Random
 ) -> list[list[list[float]]]:
-    """Damped best-response iteration from seeded random starts.
+    """Damped best-response iteration from seeded random starts, in lockstep.
+
+    All starts are drawn first, in start-by-start order, and advance
+    together sweep by sweep; ``cols[i][o]`` holds player i's probability
+    of object o, one entry per active start.  An update builds the
+    opponents' joint column by column in ``itertools.product`` order,
+    takes each start's payoff dots over its row of that joint, and does
+    the cut, best set, damped step and change column-wise.  So each start
+    does the float operations of running alone, and its profile is the same.
 
     A start is kept once a sweep moves no component by 1e-10.  It is
     dropped after 300 sweeps that still move one by 1e-4, or as soon as
-    ``vectors`` at the top of a sweep equals a copy saved at sweep 1, 2,
-    4, 8, ... (Brent's cycle check).  A sweep depends on ``vectors``
-    alone, so such an exact repeat replays the same sweeps forever, and
-    none of them converged, so the start could never be kept.  Dropping
-    it early leaves the results unchanged; starts are drawn before they
-    iterate, so the random stream is unchanged too.
+    its state at the top of a sweep equals the copy saved at sweep 1, 2,
+    4, 8, ... (Brent's cycle check, with marks shared by all starts).  A
+    sweep depends on the state alone, so such a repeat replays the same
+    unconverged sweeps forever.  Kept profiles come back in start order.
     """
     m, n = rule.m, rule.n
     rows = _payoff_rows(rule, cache)
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
-    damping = config.damping
-    results = []
-    for _ in range(config.starts):
-        vectors = [_random_simplex(rng, n) for _ in range(m)]
-        change = 1.0
-        saved, mark = None, 1
-        for it in range(config.max_iter):
-            if vectors == saved:
-                break  # exact repeat: cycling forever, never converging
-            if it == mark:
-                saved, mark = vectors[:], 2 * mark  # rows are replaced, not mutated
-            change = 0.0
-            for i in range(m):
-                # joint[j]: probability that the opponents play ordered tuple j
-                joint = [1.0]
-                for j in opponents[i]:
-                    joint = [a * b for a in joint for b in vectors[j]]
-                u = [sum(map(mul, row, joint)) for row in rows]
-                cut = max(u) - 1e-12
-                best = [uo >= cut for uo in u]
-                share = 1.0 / sum(best)
-                old = vectors[i]
-                new = [
-                    (1.0 - damping) * x + damping * (share if b else 0.0)
-                    for x, b in zip(old, best)
-                ]
-                change = max(change, *map(abs, map(sub, new, old)))
-                vectors[i] = new
-            if change < 1e-10:
-                break
-            if it > 300 and change > 1e-4:
-                break  # circling, not contracting; give up on this start
-        if change < 1e-10:
-            results.append(vectors)
-    return results
+    damping, hold = config.damping, 1.0 - config.damping
+    starts = [[_random_simplex(rng, n) for _ in range(m)] for _ in range(config.starts)]
+    cols = [[[s[i][o] for s in starts] for o in range(n)] for i in range(m)]
+    ids, go = list(range(config.starts)), [True] * config.starts
+    saved, mark = [()] * config.starts, 1  # no state equals (): nothing saved yet
+    kept = {}
+    for it in range(config.max_iter):
+        # Drop finished starts and starts back at their saved state, which
+        # cycle forever; state[k] is start k's profile, flattened.
+        state = list(zip(*chain.from_iterable(cols)))
+        go = list(map(and_, go, map(ne, state, saved)))
+        if not all(go):
+            ids, state, saved = (list(compress(x, go)) for x in (ids, state, saved))
+            cols = [[list(compress(c, go)) for c in player] for player in cols]
+        if not ids:
+            break
+        if it == mark:
+            saved, mark = state, 2 * mark
+        change = [0.0] * len(ids)
+        for i in range(m):
+            # joint[j][k]: probability that start k's opponents play ordered tuple j
+            opp = [cols[j] for j in opponents[i]] or [[[1.0] * len(ids)]]
+            joint = opp[0]  # 1.0 * p == p: the first factor needs no product
+            for c in opp[1:]:
+                joint = [list(map(mul, a, b)) for a in joint for b in c]
+            by_start = list(zip(*joint))
+            u = [[sum(map(mul, row, t)) for t in by_start] for row in rows]
+            cut = [max(us) - 1e-12 for us in zip(*u)]
+            best = [list(map(ge, uo, cut)) for uo in u]
+            # damping * (share if b else 0.0), as damping * 0.0 is 0.0
+            step = [damping * (1.0 / sum(bs)) for bs in zip(*best)]
+            new = [
+                [hold * x + (d if b else 0.0) for x, b, d in zip(xs, bo, step)]
+                for xs, bo in zip(cols[i], best)
+            ]
+            for xs, ys in zip(new, cols[i]):
+                change = list(map(max, change, map(abs, map(sub, xs, ys))))
+            cols[i] = new
+        done = [c < 1e-10 for c in change]
+        for k in compress(range(len(ids)), done):
+            kept[ids[k]] = [[c[k] for c in player] for player in cols]
+        go = [not d and not (it > 300 and c > 1e-4) for d, c in zip(done, change)]
+    return [kept[k] for k in sorted(kept)]
 
 
 def search_equilibria(
@@ -518,12 +535,15 @@ def search_equilibria(
     """Candidate equilibria of a small game, each independently verified.
 
     Combines symmetric per-support root finding with multistart damped
-    best-response iteration.  A best-response start that returns exactly
-    to an earlier state is cycling and is dropped at once; it could never
-    converge, so this only saves time.  Every candidate must pass the
-    deviation-gap check at ``config.eps``; survivors are deduplicated
-    within sup distance ``config.dedup``.  The list may be empty
-    (inconclusive); it is never claimed exhaustive.
+    best-response iteration.  The best-response starts run in lockstep,
+    one column per (player, object); each start does the float operations
+    of running alone and leaves at its own sweep, so the candidates, in
+    start order, are those of one start at a time.  A start that returns
+    exactly to an earlier state is cycling and is dropped at once; it
+    could never converge, so this only saves time.  Every candidate must
+    pass the deviation-gap check at ``config.eps``; survivors are
+    deduplicated within sup distance ``config.dedup``.  The list may be
+    empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")

@@ -1,33 +1,44 @@
 """Equilibrium computation: exact payoffs, the symmetric solver, and the
 seeded search.
 
-``reference_best_response_profiles`` is the straightforward damped best
-response: every update rebuilds the opponents' count distribution with
-``choice_count_distribution`` and sums cached pure payoffs over it.  The
-payoff-row kernel in ``_best_response_profiles`` must return the very same
-floats, start for start, and ``search_equilibria`` the very same verified
-profiles and gap reports.  The reference keeps no check for an exact
-repeat of the state, so equality also shows that ending a cycling start
-at its first repeat changes no result.
+Two references check damped best response.  ``scalar_best_response_profiles``
+is the start-by-start payoff-row loop that the lockstep kernel
+``_best_response_profiles`` replaced: the kernel must return the very same
+floats, start for start, on batches where starts converge, repeat and give
+up at different sweeps.  ``reference_best_response_profiles`` is the
+straightforward loop: every update rebuilds the opponents' count
+distribution with ``choice_count_distribution`` and sums cached pure payoffs
+over it, and ``search_equilibria`` must return the very same verified
+profiles and gap reports with it.  The straightforward loop keeps no
+check for an exact repeat of the state, so equality also shows that ending
+a cycling start at its first repeat changes no result.  Sha256 pins of
+``search_equilibria`` output, taken before the lockstep kernel, cover the
+benchmark's six search games.
 """
 
 import hashlib
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from operator import mul, sub
+from pathlib import Path
 
 import pytest
 from conftest import random_table_rule
 
 from rps_forge import equilibrium
 from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, odd_one_out
-from rps_forge.core import GameError
+from rps_forge.core import GameError, GameRule
 from rps_forge.equilibrium import (
     MixedProfile,
     SearchConfig,
     _best_response_profiles,
+    _payoff_rows,
     _pure_payoff_cache,
+    _random_simplex,
     choice_count_distribution,
     classify_playability,
     expected_payoff,
@@ -60,6 +71,22 @@ class TestMixedProfile:
     def test_exact_vectors_accepted(self):
         p = symmetric_profile((Fraction(1, 3),) * 3, 4)
         assert p.symmetric and p.m == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GameError):
+            MixedProfile(vectors=((bad, 0.5, 0.5), (0.0, 0.5, 0.5)))
+
+    def test_rejects_nan_symmetric_profile(self):
+        # Before the check this profile reached nash_gap, which reported
+        # gap 0.0 because max(0.0, nan) is 0.0.
+        with pytest.raises(GameError, match="non-finite"):
+            MixedProfile(((math.nan, 0.5, 0.5),) * 3, symmetric=True)
+
+    def test_fraction_vectors_unaffected(self):
+        v = (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
+        p = MixedProfile(vectors=(v, v, (Fraction(0), Fraction(1), Fraction(0))))
+        assert p.vectors[0] == v and not p.symmetric
 
 
 class TestExpectedPayoff:
@@ -366,6 +393,118 @@ class TestSearch:
         text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "index, construction, seed, digest",
+        [
+            pytest.param(
+                0, "imbalanced3 m=3", 4199094495,
+                "bd2fd8cbf0a80e9ff0a5e1c6cd9b6dd4a1fa0972e2d04b9eb9b71b5f88b7e2e9",
+                id="imbalanced3 m=3",
+            ),
+            pytest.param(
+                1, "maximal3 m=3", 3271911509,
+                "a75518b99826ea7fd5dfce50c6bb4b8567e57e06dcde70c94b3af4b66f0f2676",
+                id="maximal3 m=3",
+            ),
+            pytest.param(
+                2, "odd-one-out m=4", 2876545263,
+                "1cbf287ca39378e59334b1e64065e8ad41e130c57dff3471c77b08c0df6f5154",
+                id="odd-one-out m=4",
+            ),
+            pytest.param(
+                3, None, 3108793766,
+                "3a3a9ce23ee788a1aebc187c65824dad8a5efe138a74c2773d88ee46f9c0b041",
+                id="table m=3 n=3 #1",
+            ),
+            pytest.param(
+                4, None, 2941142065,
+                "18997f388ee33ca14b0aca0b9cac5b91315c250b4bb3f9c253c76abd7ef0cc8a",
+                id="table m=3 n=3 #2",
+            ),
+            pytest.param(
+                5, None, 240332851,
+                "ce01bc90def783d88059599a3c023592b9c1ba2fc80dfb836297c8882f2b6b31",
+                id="table m=3 n=3 #3",
+            ),
+        ],
+    )
+    def test_search_workload_results_are_pinned(
+        self, search_workload_games, index, construction, seed, digest
+    ):
+        # The benchmark's six search games (three random m=3, n=3 tables
+        # last) with their fixed search seeds and the default 200 starts,
+        # pinned before best response ran its starts in lockstep.
+        game, game_seed = search_workload_games[index]
+        assert (game.construction, game_seed) == (construction, seed)
+        found = search_equilibria(game, SearchConfig(seed=game_seed))
+        text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def search_workload_games():
+    """``perfbench/workloads.py``'s search games for benchmark seed 1; the
+    seed renames the random tables' objects and changes nothing else."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look themselves up there
+    return workloads.search_inputs(random.Random(1), tiny=False)["games"]
+
+
+def scalar_best_response_profiles(
+    rule: GameRule, cache: dict, config: SearchConfig, rng: random.Random
+) -> list[list[list[float]]]:
+    """Damped best-response iteration from seeded random starts.
+
+    A start is kept once a sweep moves no component by 1e-10.  It is
+    dropped after 300 sweeps that still move one by 1e-4, or as soon as
+    ``vectors`` at the top of a sweep equals a copy saved at sweep 1, 2,
+    4, 8, ... (Brent's cycle check).  A sweep depends on ``vectors``
+    alone, so such an exact repeat replays the same sweeps forever, and
+    none of them converged, so the start could never be kept.  Dropping
+    it early leaves the results unchanged; starts are drawn before they
+    iterate, so the random stream is unchanged too.
+    """
+    m, n = rule.m, rule.n
+    rows = _payoff_rows(rule, cache)
+    opponents = [[j for j in range(m) if j != i] for i in range(m)]
+    damping = config.damping
+    results = []
+    for _ in range(config.starts):
+        vectors = [_random_simplex(rng, n) for _ in range(m)]
+        change = 1.0
+        saved, mark = None, 1
+        for it in range(config.max_iter):
+            if vectors == saved:
+                break  # exact repeat: cycling forever, never converging
+            if it == mark:
+                saved, mark = vectors[:], 2 * mark  # rows are replaced, not mutated
+            change = 0.0
+            for i in range(m):
+                # joint[j]: probability that the opponents play ordered tuple j
+                joint = [1.0]
+                for j in opponents[i]:
+                    joint = [a * b for a in joint for b in vectors[j]]
+                u = [sum(map(mul, row, joint)) for row in rows]
+                cut = max(u) - 1e-12
+                best = [uo >= cut for uo in u]
+                share = 1.0 / sum(best)
+                old = vectors[i]
+                new = [
+                    (1.0 - damping) * x + damping * (share if b else 0.0)
+                    for x, b in zip(old, best)
+                ]
+                change = max(change, *map(abs, map(sub, new, old)))
+                vectors[i] = new
+            if change < 1e-10:
+                break
+            if it > 300 and change > 1e-4:
+                break  # circling, not contracting; give up on this start
+        if change < 1e-10:
+            results.append(vectors)
+    return results
+
 
 def _reference_payoffs(cache, rule, vectors, player):
     others = [tuple(v) for i, v in enumerate(vectors) if i != player]
@@ -467,6 +606,62 @@ class TestBestResponseOracle:
         got = _best_response_profiles(rule, cache, config, random.Random(max_iter))
         want = reference_best_response_profiles(rule, cache, config, random.Random(max_iter))
         assert got == want
+
+
+LOCKSTEP_GAMES = {**ORACLE_GAMES, **CYCLING_GAMES}
+
+# Degenerate games: a lone player has an empty opponent joint, and a lone
+# object makes every start's best set that object.
+EDGE_GAMES = {
+    "imbalanced3 m=3": imbalanced_rps3(3),
+    "maximal3 m=3": maximal_rps3(3),
+    "table m=2 n=3 #0": ORACLE_GAMES["table m=2 n=3 #0"],
+    "one player": random_table_rule(random.Random(5), 1, 3),
+    "one object": random_table_rule(random.Random(5), 3, 1),
+}
+
+
+class TestLockstepOracle:
+    """The lockstep kernel against the start-by-start loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_GAMES))
+    def test_profiles_equal_scalar_loop(self, name):
+        rule = LOCKSTEP_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        # Of 200 starts, each leaves the batch at one of many different sweeps.
+        config = SearchConfig(seed=0, starts=200 if rule.m * rule.n <= 12 else 20)
+        seed = sum(map(ord, name))
+        got = _best_response_profiles(rule, cache, config, random.Random(seed))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(seed))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "name, damping, starts", [("table m=4 n=3 #0", 1.0, 40), ("table m=4 n=4 #0", 0.3, 10)]
+    )
+    def test_kept_and_dropped_starts_mixed(self, name, damping, starts):
+        # Starts that converge share the batch with starts that repeat
+        # (the first game) or give up (the second).
+        rule = ORACLE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=starts, damping=damping)
+        seed = sum(map(ord, name))
+        got = _best_response_profiles(rule, cache, config, random.Random(seed))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(seed))
+        assert 0 < len(got) < starts and got == want
+
+    @pytest.mark.parametrize("damping", [1.0, 0.3])
+    @pytest.mark.parametrize("max_iter", [1, 2, 10_000])
+    @pytest.mark.parametrize("starts", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
+    def test_edges_equal_scalar_loop(self, name, starts, max_iter, damping):
+        rule = EDGE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=starts, max_iter=max_iter, damping=damping)
+        got = _best_response_profiles(rule, cache, config, random.Random(starts))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(starts))
+        assert got == want
+        if starts == 0:
+            assert got == []
 
 
 class TestCycleCheck:
