@@ -66,8 +66,10 @@ def constraint_system(k: int, t: int) -> list[Constraint]:
     """The equilibrium conditions as polynomials in (r, s).
 
     Each is the difference ``payoff_poly(better) - payoff_poly(worse)`` of
-    two closed-form payoffs, scaled to integer coefficients with content
-    1.  Equalities are listed first: they prune fastest.
+    two closed-form payoffs, taken on their integer forms over a common
+    denominator and scaled to integer coefficients with content 1
+    (``Poly2.normalized_difference``).  Equalities are listed first: they
+    prune fastest.
     """
     conditions = [
         ("mixer_indifferent_R_P", "eq", Role.MIXER_P, Role.MIXER_R),
@@ -84,7 +86,7 @@ def constraint_system(k: int, t: int) -> list[Constraint]:
     }
     constraints = []
     for name, kind, better, worse in conditions:
-        poly, scale = (payoff[better] - payoff[worse]).integer_normalization()
+        poly, scale = payoff[better].normalized_difference(payoff[worse])
         constraints.append(Constraint(name=name, kind=kind, poly=poly, scale=scale))
     return constraints
 
@@ -205,6 +207,10 @@ def infeasibility_certificate(
         raise ScenarioError(f"delta must lie in (0, 0.01], got {delta}")
     if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
         raise ScenarioError(f"max_depth must lie in 1..{MAX_DEPTH_LIMIT}")
+    if max_boxes < 1:
+        raise ScenarioError(f"max_boxes must be >= 1, got {max_boxes}")
+    if undecided_cap < 1:
+        raise ScenarioError(f"undecided_cap must be >= 1, got {undecided_cap}")
     constraints = eliminated_system(k, t)
 
     start = time.perf_counter()

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,21 @@ from rps_forge.certify import (
 from rps_forge.construct import imbalanced_rps
 from rps_forge.core import GameError
 from rps_forge.equilibrium import solve_symmetric_rps3, symmetric_profile
-from rps_forge.formulas import Role, ScenarioError, ev_raw
-from rps_forge.intervals import PRECISION_BITS, Interval, Poly2
+from rps_forge.formulas import Role, ScenarioError, ev_raw, payoff_poly
+from rps_forge.intervals import MEMO_DEPTHS, PRECISION_BITS, Interval, Poly2, poly_sub
+
+
+def payoff_pairs(t):
+    """Each condition's (better, worse) roles, keyed by its name."""
+    pairs = {
+        "mixer_indifferent_R_P": (Role.MIXER_P, Role.MIXER_R),
+        "candidate_indifferent_S_P": (Role.CANDIDATE_S, Role.CANDIDATE_P),
+        "mixer_prefers_P_over_S": (Role.MIXER_P, Role.MIXER_S),
+    }
+    if t:
+        pairs["committed_prefers_P_over_R"] = (Role.COMMITTED_P, Role.COMMITTED_R)
+        pairs["committed_prefers_P_over_S"] = (Role.COMMITTED_P, Role.COMMITTED_S)
+    return pairs
 
 
 class TestConstraintSystem:
@@ -59,14 +74,7 @@ class TestConstraintSystem:
         # rational point, r = 0 included
         rng = random.Random(k * 100 + t)
         by_name = {c.name: c for c in constraint_system(k, t)}
-        pairs = {
-            "mixer_indifferent_R_P": (Role.MIXER_P, Role.MIXER_R),
-            "candidate_indifferent_S_P": (Role.CANDIDATE_S, Role.CANDIDATE_P),
-            "mixer_prefers_P_over_S": (Role.MIXER_P, Role.MIXER_S),
-        }
-        if t:
-            pairs["committed_prefers_P_over_R"] = (Role.COMMITTED_P, Role.COMMITTED_R)
-            pairs["committed_prefers_P_over_S"] = (Role.COMMITTED_P, Role.COMMITTED_S)
+        pairs = payoff_pairs(t)
         assert set(by_name) == set(pairs)
         for _ in range(25):
             r = Fraction(rng.randint(0, 99), 100)
@@ -76,6 +84,28 @@ class TestConstraintSystem:
                 assert c.scale > 0
                 diff = ev_raw(better, k, t, [r] * k, s) - ev_raw(worse, k, t, [r] * k, s)
                 assert c.poly.eval_exact(r, s) == c.scale * diff, name
+
+    @pytest.mark.parametrize("k, t", [(1, 0), (2, 1), (3, 2), (7, 11), (14, 7), (30, 5), (50, 50)])
+    def test_integer_differences_match_the_fraction_route(self, k, t):
+        # the difference of the two payoffs in Fractions, times the lcm of
+        # its denominators over the gcd of the numerators that gives
+        pairs = payoff_pairs(t)
+        for c in constraint_system(k, t):
+            better, worse = (payoff_poly(role, k, t) for role in pairs[c.name])
+            diff = [
+                [Fraction(x) for x in poly_sub(b, w)]
+                for b, w in ((better.p0, worse.p0), (better.p1, worse.p1))
+            ]
+            q = lcm(*(x.denominator for part in diff for x in part))
+            content = gcd(*(x.numerator * (q // x.denominator) for part in diff for x in part))
+            want = []
+            for part in diff:
+                ints = [int(x * q) // content for x in part]
+                while ints and ints[-1] == 0:
+                    ints.pop()
+                want.append(ints)
+            assert [c.poly.p0, c.poly.p1] == want, c.name
+            assert c.scale == Fraction(q, content), c.name
 
     @pytest.mark.parametrize("k, t", [(1, 0), (2, 0), (3, 2), (5, 4), (8, 0), (12, 6), (30, 5)])
     def test_elimination_is_a1_squared_times_the_condition(self, k, t):
@@ -262,6 +292,34 @@ class TestCertificates:
         assert len(cert.undecided_sample) == 4
         assert cert.undecided_count > 4
 
+    @pytest.mark.parametrize("k, t, depth", [(2, 0, 14), (3, 1, 12)])
+    def test_split_memo_stays_bounded_and_changes_nothing(self, monkeypatch, k, t, depth):
+        # an undecided run over thousands of intervals: pruned leaves and
+        # halves a constraint never sees must not pile up in its memo, and
+        # a run that empties the memo before every enclosure, so that each
+        # takes the Taylor route, must come out the same
+        relaxed(monkeypatch, "candidate_indifferent_S_P")
+        kernel = Poly2.eval_box
+        sizes = []
+
+        def watching(poly, r, s, bits=PRECISION_BITS):
+            enc = kernel(poly, r, s, bits)
+            sizes.append(len(poly._memo))
+            return enc
+
+        def forgetting(poly, r, s, bits=PRECISION_BITS):
+            poly._memo = None
+            return kernel(poly, r, s, bits)
+
+        runs = []
+        for patched in (watching, forgetting):
+            monkeypatch.setattr(Poly2, "eval_box", patched)
+            runs.append(infeasibility_certificate(k, t, max_depth=depth, undecided_cap=10**6))
+        remembering, forgetful = (dataclasses.replace(c, millis=0.0) for c in runs)
+        assert remembering.verdict is Verdict.UNDECIDED and remembering.boxes > 2000
+        assert 2 <= max(sizes) <= depth + 1 <= MEMO_DEPTHS
+        assert remembering == forgetful
+
     def test_reference_prover_agrees_on_the_desk_scale_sweep(self):
         # the two routes share the enclosure kernel but not the elimination
         for k in range(1, 13):
@@ -307,6 +365,28 @@ class TestCertificates:
             infeasibility_certificate(2, 0, delta=Fraction(0))
         with pytest.raises(ScenarioError):
             infeasibility_certificate(2, 0, max_depth=0)
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ({"max_boxes": 0}, "max_boxes must be >= 1, got 0"),
+            ({"max_boxes": -5}, "max_boxes must be >= 1, got -5"),
+            ({"undecided_cap": 0}, "undecided_cap must be >= 1, got 0"),
+            ({"undecided_cap": -1}, "undecided_cap must be >= 1, got -1"),
+        ],
+    )
+    def test_budget_guards(self, budget, message):
+        with pytest.raises(ScenarioError, match=message):
+            infeasibility_certificate(12, 6, **budget)
+
+    def test_smallest_budgets_run(self):
+        cert = infeasibility_certificate(12, 6, max_boxes=1)
+        assert cert.verdict is Verdict.UNDECIDED
+        assert (cert.boxes, cert.note) == (2, "box budget 1 exhausted")
+        cert = infeasibility_certificate(12, 6, max_depth=1, undecided_cap=1)
+        assert cert.verdict is Verdict.UNDECIDED
+        assert cert.note == "stopped after 1 surviving boxes"
+        assert len(cert.undecided_sample) == 1
 
     def test_record_fields(self):
         cert = infeasibility_certificate(2, 1)

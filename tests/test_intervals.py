@@ -5,7 +5,10 @@ evaluator: Taylor shift in exact ``Fraction`` arithmetic, the Bernstein
 coefficients from their explicit sum, then one outward rounding of the
 hull.  ``Poly2.eval_box`` must return the very same interval, bound for
 bound, on every box a certificate examines and on arbitrary rational
-boxes.  ``reference_eval_box`` bounds the shifted monomials instead; the
+boxes, whether its coefficients come from the monomial form or from the
+de Casteljau split of a remembered parent; a fresh ``Poly2``, which
+remembers nothing, must agree with one that has walked a bisection.
+``reference_eval_box`` bounds the shifted monomials instead; the
 Bernstein interval must always lie inside it, so no box the monomial
 bounds prune can survive.
 """
@@ -18,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_prover import outward
+import rps_forge.intervals as interval_module
 from rps_forge.certify import infeasibility_certificate
-from rps_forge.intervals import PRECISION_BITS, Interval, Poly2
+from rps_forge.intervals import MEMO_DEPTHS, PRECISION_BITS, Interval, Poly2
 
 
 def _taylor_shift(coeffs, a):
@@ -122,7 +126,7 @@ def _inside(inner, outer):
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
-@pytest.mark.parametrize("k, t", [(3, 2), (5, 0), (10, 5)])
+@pytest.mark.parametrize("k, t", [(3, 2), (5, 0), (10, 5), (14, 7), (30, 5), (25, 23)])
 def test_certificate_enclosures_match_reference(monkeypatch, k, t):
     cert, calls = _recorded_enclosures(monkeypatch, k, t)
     assert cert.proved_empty
@@ -175,6 +179,77 @@ def test_random_boxes_match_reference(p0, p1, r, s, bits):
     ref = bernstein_reference_eval_box(poly, r, s, bits)
     assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
     assert _inside(enc, reference_eval_box(poly, r, s, bits))
+
+
+def _same_as_fresh_and_reference(poly, r, s, bits=PRECISION_BITS):
+    enc = poly.eval_box(r, s, bits)
+    fresh = Poly2(poly.p0, poly.p1).eval_box(r, s, bits)
+    ref = bernstein_reference_eval_box(poly, r, s, bits)
+    assert (enc.lo, enc.hi) == (fresh.lo, fresh.hi) == (ref.lo, ref.hi), (poly, r, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p0=coefficient_lists, p1=coefficient_lists, s=intervals(), data=st.data())
+def test_bisection_walk_matches_fresh_polynomial_and_reference(p0, p1, s, data):
+    # a depth-first bisection of [0, 1] that enters the halves of the
+    # intervals it keeps in either order, skips some intervals (as when
+    # an earlier constraint prunes them) and meets point and non-dyadic
+    # intervals on the way
+    poly = Poly2(p0, p1)
+    stack = [(Interval(Fraction(0), Fraction(1)), 0)]
+    visits = 0
+    while stack and visits < 40:
+        r, depth = stack.pop()
+        visits += 1
+        if data.draw(st.integers(0, 4)):
+            _same_as_fresh_and_reference(poly, r, s)
+        stray = data.draw(st.sampled_from(["none", "point", "third", "any"]))
+        if stray == "point":
+            _same_as_fresh_and_reference(poly, Interval.point(r.midpoint()), s)
+        elif stray == "third":
+            _same_as_fresh_and_reference(poly, Interval(r.lo, r.lo + r.width() / 3), s)
+        elif stray == "any":
+            _same_as_fresh_and_reference(poly, data.draw(intervals()), s)
+        if depth < 6 and data.draw(st.booleans()):
+            halves = list(r.halves())
+            if data.draw(st.booleans()):
+                halves.reverse()
+            stack.extend((half, depth + 1) for half in halves)
+
+
+def test_memo_holds_at_most_memo_depths_entries():
+    # one path below MEMO_DEPTHS, each split keeping the half not taken
+    poly = Poly2([Fraction(1, 3), -2, 0, Fraction(7, 5), 1], [-1, Fraction(3, 2)])
+    s = Interval(Fraction(1, 7), Fraction(3, 5))
+    r = Interval(Fraction(0), Fraction(1))
+    for depth in range(MEMO_DEPTHS + 4):
+        _same_as_fresh_and_reference(poly, r, s)
+        assert len(poly._memo) <= MEMO_DEPTHS
+        r = r.halves()[depth % 2]
+    assert len(poly._memo) == MEMO_DEPTHS
+
+
+@pytest.mark.parametrize("k, t", [(14, 7), (30, 5)])
+def test_certificate_converts_from_monomials_only_at_the_root(monkeypatch, k, t):
+    # every later interval is a half of one the same constraint enclosed
+    # before, so its coefficients come from the split
+    tried, routes = [], []
+    kernel, taylor = Poly2.eval_box, interval_module._bernstein_form
+
+    def recording(poly, r, s, bits=PRECISION_BITS):
+        tried.append(poly)
+        return kernel(poly, r, s, bits)
+
+    def counting(num0, num1, q, a, w, d):
+        routes.append((a, w, d))
+        return taylor(num0, num1, q, a, w, d)
+
+    monkeypatch.setattr(Poly2, "eval_box", recording)
+    monkeypatch.setattr(interval_module, "_bernstein_form", counting)
+    cert = infeasibility_certificate(k, t)
+    assert cert.proved_empty and cert.deepest >= 6
+    assert routes == [(0, 1, 1)] * len({id(poly) for poly in tried})
+    assert len(tried) > 3 * len(routes)
 
 
 EDGE_R = Interval(Fraction(-2, 3), Fraction(5, 4))
