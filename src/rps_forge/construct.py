@@ -112,24 +112,18 @@ def symmetric_blowup(g: GameRule, at: str | int, h: GameRule) -> GameRule:
                 f"subgame is not defined for groups of {size} players; "
                 f"it must cover every size up to {g.m}"
             )
-    g_keep = [i for i in range(g.n) if i != at_idx]
-    labels = tuple(g.labels[i] for i in g_keep) + h.labels
+    labels = g.labels[:at_idx] + g.labels[at_idx + 1 :] + h.labels
     if len(set(labels)) != len(labels):
         raise GameError(f"object labels clash when composing: {labels}")
-    n_outer = len(g_keep)
+    n_outer = g.n - 1  # the result lists g's objects but ``at`` first, then h's
 
     def winner(counts: tuple[int, ...]) -> Outcome:
-        outer = counts[:n_outer]
         inner = counts[n_outer:]
         inner_total = sum(inner)
-        g_counts = [0] * g.n
-        for pos, gi in enumerate(g_keep):
-            g_counts[gi] = outer[pos]
-        g_counts[at_idx] = inner_total
-        out_g = eval_outcome(g, g_counts)
+        out_g = eval_outcome(g, counts[:at_idx] + (inner_total,) + counts[at_idx:n_outer])
 
         if out_g.winner is not None and out_g.winner != at_idx:
-            new_idx = g_keep.index(out_g.winner)
+            new_idx = out_g.winner - (out_g.winner > at_idx)
             return win(new_idx, out_g.winner_count)
 
         if out_g.is_tie:
@@ -207,19 +201,20 @@ def imbalanced_rps(m: int, k: int) -> GameRule:
 
     def winner(counts: tuple[int, ...]) -> Outcome:
         eliminated = False
-        for lvl in range(k):
-            a = counts[2 * lvl]
-            b = counts[2 * lvl + 1]
-            deep = sum(counts[2 * lvl + 2 :])
+        deep = sum(counts)  # players below the current level
+        for i in range(0, s_idx, 2):  # R of each level, P at i + 1
+            a = counts[i]
+            b = counts[i + 1]
+            deep -= a + b
             if a:
                 if deep:
-                    return win(2 * lvl, a)
+                    return win(i, a)
                 if b:
-                    return win(2 * lvl + 1, b)
-                return win(2 * lvl, a) if eliminated else all_tie(a)
+                    return win(i + 1, b)
+                return win(i, a) if eliminated else all_tie(a)
             if b:
                 if not deep:
-                    return win(2 * lvl + 1, b) if eliminated else all_tie(b)
+                    return win(i + 1, b) if eliminated else all_tie(b)
                 eliminated = True
             # level empty or only deeper players remain: descend
         s = counts[s_idx]

@@ -12,9 +12,10 @@ at reporting boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 
@@ -39,10 +40,13 @@ class Outcome:
         return self.winner is None
 
 
+# Outcomes are immutable: shared instances spare a winner function one object per multiset.
+@lru_cache(maxsize=4096)
 def all_tie(total: int) -> Outcome:
     return Outcome(None, total)
 
 
+@lru_cache(maxsize=4096)
 def win(obj: int, count: int) -> Outcome:
     if count < 1:
         raise GameError("winning object must be chosen by at least one player")
@@ -105,34 +109,27 @@ def tie_payoff(m: int, winners: int) -> Fraction:
     return Fraction(m - winners, winners)
 
 
-def _check_counts(rule: GameRule, counts: Sequence[int]) -> tuple[int, ...]:
-    counts = tuple(counts)
-    if len(counts) != rule.n:
-        raise GameError(
-            f"counts vector has {len(counts)} entries for a {rule.n}-object game"
-        )
-    if any(c < 0 for c in counts):
-        raise GameError(f"negative count in {counts}")
-    total = sum(counts)
-    if total < 1:
-        raise GameError("empty choice multiset")
-    if total > rule.m:
-        raise GameError(f"{total} choices exceed the {rule.m}-player game")
-    if not rule.supports_size(total):
-        raise GameError(f"rule has no table entries for multisets of size {total}")
-    return counts
-
-
 def eval_outcome(rule: GameRule, counts: Sequence[int]) -> Outcome:
     """Winner of one choice multiset, given as a counts vector over objects.
 
     Multisets supported on a single object are an all-way tie by
     convention, regardless of the rule.
     """
-    counts = _check_counts(rule, counts)
+    counts = tuple(counts)
+    if len(counts) != len(rule.labels):
+        raise GameError(
+            f"counts vector has {len(counts)} entries for a {rule.n}-object game"
+        )
+    if min(counts) < 0:
+        raise GameError(f"negative count in {counts}")
     total = sum(counts)
-    support = sum(1 for c in counts if c > 0)
-    if support == 1:
+    if total < 1:
+        raise GameError("empty choice multiset")
+    if total > rule.m:
+        raise GameError(f"{total} choices exceed the {rule.m}-player game")
+    if rule.table_sizes is not None and not rule.supports_size(total):
+        raise GameError(f"rule has no table entries for multisets of size {total}")
+    if total in counts:  # no negative counts, so one object holds them all
         return all_tie(total)
     out = rule.winner_fn(counts)
     if out.winner is not None:
@@ -172,26 +169,25 @@ def enumerate_multisets(n: int, size: int) -> Iterator[tuple[tuple[int, ...], in
     """Yield every counts vector over ``n`` objects summing to ``size``,
     paired with its multinomial weight ``size! / prod(counts!)``.
 
-    Weights over all multisets sum to ``n ** size``.
+    Vectors come lazily, in lexicographic order, each weight a product of
+    binomials ``C(remaining, c)``.  Weights sum to ``n ** size``.
     """
     if n < 1:
         raise GameError("need at least one object")
     if size < 0:
         raise GameError("multiset size must be nonnegative")
+    yield from _multisets((), size, n, 1)
 
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            yield tuple(prefix + [remaining])
-            return
+
+def _multisets(prefix: tuple[int, ...], remaining: int, slots: int, weight: int):
+    if slots == 1:
+        yield prefix + (remaining,), weight
+    elif slots == 2:
         for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, slots - 1)
-
-    fact_size = math.factorial(size)
-    for counts in rec([], size, n):
-        weight = fact_size
-        for c in counts:
-            weight //= math.factorial(c)
-        yield counts, weight
+            yield prefix + (c, remaining - c), weight * comb(remaining, c)
+    else:
+        for c in range(remaining + 1):
+            yield from _multisets(prefix + (c,), remaining - c, slots - 1, weight * comb(remaining, c))
 
 
 def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:
@@ -206,21 +202,22 @@ def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:
     weight ``W * c_o / m``.  Scaled by ``m``, each object present thus
     gains ``W * c_o`` times its payoff: ``-W * c_o`` for a loser, and
     ``W * (m - c_w) = -W * c_w + W * m`` for a winner with ``c_w``
-    copies.  The sums are integers over the common denominator
-    ``m * n**(m-1)``.
+    copies.  As ``W * c_o`` sums to ``m * n**(m-1)`` over all multisets,
+    only ties need their counts; a decided multiset adds ``W`` to its
+    winner.  The sums are integers over that common denominator.
     """
     m, n = rule.m, rule.n
-    acc = [0] * n
+    won = [0] * n  # weight of the multisets each object wins
+    tied = [0] * n  # sum of W * c_o over all-way ties
     for counts, weight in enumerate_multisets(n, m):
-        out = eval_outcome(rule, counts)
-        if out.is_tie:
-            continue
-        for o, c in enumerate(counts):
-            if c:
-                acc[o] -= weight * c
-        acc[out.winner] += weight * m
+        winner = eval_outcome(rule, counts).winner
+        if winner is None:
+            for o, c in enumerate(counts):
+                tied[o] += weight * c
+        else:
+            won[winner] += weight
     denom = m * n ** (m - 1)
-    return [Fraction(a, denom) for a in acc]
+    return [Fraction(m * w + t - denom, denom) for w, t in zip(won, tied)]
 
 
 @dataclass(frozen=True)

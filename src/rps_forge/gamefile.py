@@ -10,13 +10,15 @@ Layout::
 
 One line per full-size choice multiset, and at most one: a second line
 for the same multiset is an error.  ``winner`` names an object label or
-``TIE``.  Monoset lines may be omitted: unspecified monosets default to
-an all-way tie.  Lines starting with ``#`` are comments; a
-``# construction:`` comment round-trips the builder tag.
+``TIE``.  Labels are nonempty, not ``TIE``, and hold no whitespace or ``,``.
+Monoset lines may be omitted: unspecified monosets default to an all-way
+tie.  Lines starting with ``#`` are comments; a ``# construction:``
+comment round-trips the builder tag.
 """
 
 from __future__ import annotations
 
+from math import comb
 from pathlib import Path
 
 from .core import GameError, GameRule, TableRule, all_tie, enumerate_multisets, eval_outcome, win
@@ -33,13 +35,17 @@ class GameFileError(GameError):
 
 def dump_game(rule: GameRule) -> str:
     """Serialize the full-size multiset table of a rule."""
+    for label in rule.labels:
+        if label == "TIE" or "," in label or label.split() != [label]:
+            raise GameFileError(f"object label {label!r} cannot be written: labels must be "
+                                "nonempty, not TIE, and hold no whitespace or ','")
     lines = []
     if rule.construction:
         lines.append(f"# construction: {rule.construction}")
     lines.append(f"rps m={rule.m} objects={','.join(rule.labels)}")
     for counts, _ in enumerate_multisets(rule.n, rule.m):
-        out = eval_outcome(rule, counts)
-        name = "TIE" if out.is_tie else rule.labels[out.winner]
+        winner = eval_outcome(rule, counts).winner
+        name = "TIE" if winner is None else rule.labels[winner]
         lines.append(f"counts={','.join(map(str, counts))} winner={name}")
     return "\n".join(lines) + "\n"
 
@@ -79,37 +85,38 @@ def parse_game(text: str) -> GameRule:
                 raise GameFileError(f"bad player count {m}", lineno)
             if len(set(labels)) != len(labels) or any(not x for x in labels):
                 raise GameFileError(f"bad object labels {fields['objects']!r}", lineno)
+            if "TIE" in labels:
+                raise GameFileError("object label 'TIE' is reserved for ties", lineno)
+            index = {label: i for i, label in enumerate(labels)}
             continue
         if labels is None:
             raise GameFileError("multiset line before header", lineno)
         if not line.startswith("counts="):
             raise GameFileError(f"unrecognized line {line!r}", lineno)
-        parts = line.split()
-        fields = dict(part.split("=", 1) for part in parts if "=" in part)
+        fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
         if "counts" not in fields or "winner" not in fields:
             raise GameFileError("need counts=<c0,c1,...> winner=<label|TIE>", lineno)
         try:
-            counts = tuple(int(x) for x in fields["counts"].split(","))
+            counts = tuple(map(int, fields["counts"].split(",")))
         except ValueError:
             raise GameFileError(f"bad counts {fields['counts']!r}", lineno) from None
         if len(counts) != len(labels):
             raise GameFileError(
                 f"{len(counts)} counts for {len(labels)} objects", lineno
             )
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise GameFileError(f"negative count in {counts}", lineno)
-        if sum(counts) != m:
-            raise GameFileError(f"counts sum to {sum(counts)}, expected {m}", lineno)
+        if (total := sum(counts)) != m:
+            raise GameFileError(f"counts sum to {total}, expected {m}", lineno)
         if counts in table:
             raise GameFileError(f"duplicate line for multiset {counts}", lineno)
         winner_name = fields["winner"]
         if winner_name == "TIE":
             table[counts] = all_tie(m)
         else:
-            try:
-                idx = labels.index(winner_name)
-            except ValueError:
-                raise GameFileError(f"unknown winner {winner_name!r}", lineno) from None
+            idx = index.get(winner_name)
+            if idx is None:
+                raise GameFileError(f"unknown winner {winner_name!r}", lineno)
             if counts[idx] < 1:
                 raise GameFileError(
                     f"winner {winner_name!r} absent from multiset {counts}", lineno
@@ -117,13 +124,12 @@ def parse_game(text: str) -> GameRule:
             table[counts] = win(idx, counts[idx])
     if labels is None or m is None:
         raise GameFileError("missing header")
-    for counts, _ in enumerate_multisets(len(labels), m):
-        if counts in table:
-            continue
-        if sum(1 for c in counts if c) == 1:
-            table[counts] = all_tie(m)  # unspecified monosets default to TIE
-        else:
-            raise GameFileError(f"no line for multiset {counts}")
+    n = len(labels)
+    for i in range(n):  # unspecified monosets default to TIE
+        table.setdefault((0,) * i + (m,) + (0,) * (n - 1 - i), all_tie(m))
+    if len(table) < comb(n + m - 1, m):  # every key is a distinct multiset of size m
+        missing = next(counts for counts, _ in enumerate_multisets(n, m) if counts not in table)
+        raise GameFileError(f"no line for multiset {missing}")
     return GameRule(
         m=m,
         labels=labels,

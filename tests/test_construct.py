@@ -128,6 +128,26 @@ class TestSymmetricBlowup:
         out = eval_outcome(combined, (0, 1, 2, 0, 0))
         assert combined.labels[out.winner] == "R2" and out.winner_count == 2
 
+    @pytest.mark.parametrize("at", ["R", "P", "S"])
+    def test_outer_winner_keeps_its_label_at_any_position(self, at):
+        g = imbalanced_rps3(4)
+        h = imbalanced_rps3(4, labels=("a", "b", "c"))
+        combined = symmetric_blowup(g, at, h)
+        assert combined.labels == tuple(x for x in g.labels if x != at) + h.labels
+        outer = [g.index_of(x) for x in combined.labels[:2]]
+        for counts, _ in enumerate_multisets(5, 4):
+            g_counts = [0, 0, 0]
+            for pos, gi in enumerate(outer):
+                g_counts[gi] = counts[pos]
+            g_counts[g.index_of(at)] = sum(counts[2:])
+            out_g = eval_outcome(g, g_counts)
+            out = eval_outcome(combined, counts)
+            if out_g.winner is not None and g.labels[out_g.winner] != at:
+                assert combined.labels[out.winner] == g.labels[out_g.winner]
+                assert out.winner_count == out_g.winner_count
+            elif not out.is_tie:
+                assert combined.labels[out.winner] in h.labels
+
     def test_mixed_winner_set_rejected(self):
         # subgame declares an all-way tie over two objects while an outer
         # player loses: no unique winning object exists

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from rps_forge.cli import main
-from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3
-from rps_forge.core import enumerate_multisets, eval_outcome
+from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, relabel
+from rps_forge.core import enumerate_multisets, eval_outcome, uniform_expected_payoffs
 from rps_forge.gamefile import GameFileError, dump_game, load_game, parse_game, save_game
 
 
@@ -35,6 +37,37 @@ class TestRoundTrip:
         save_game(imbalanced_rps3(3), path)
         lines = [l for l in path.read_text().splitlines() if l.startswith("counts=")]
         assert len(lines) == 10  # multisets of 3 objects, size 3
+
+
+class TestLabels:
+    def test_object_named_tie_is_not_dumped(self):
+        # written out, its wins would read back as ties: (4/9, -2/9, -2/9)
+        # would load as (7/9, -5/9, -2/9)
+        rule = relabel(imbalanced_rps3(3), ("R", "TIE", "S"))
+        assert uniform_expected_payoffs(rule) == [Fraction(4, 9), Fraction(-2, 9), Fraction(-2, 9)]
+        with pytest.raises(GameFileError, match="object label 'TIE'"):
+            dump_game(rule)
+
+    @pytest.mark.parametrize("label", ["TIE", "", "P Q", "P,Q", "P\tQ", " P", "P\n"])
+    def test_unwritable_labels_are_named(self, label):
+        rule = relabel(imbalanced_rps3(3), ("R", label, "S"))
+        with pytest.raises(GameFileError) as err:
+            dump_game(rule)
+        assert repr(label) in str(err.value)
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("label", ["tie", "Tie", "a=b", "#x", "R'"])
+    def test_other_labels_round_trip(self, label):
+        rule = relabel(imbalanced_rps3(3), ("R", label, "S"))
+        loaded = parse_game(dump_game(rule))
+        assert loaded.labels == rule.labels
+        assert uniform_expected_payoffs(loaded) == uniform_expected_payoffs(rule)
+
+    def test_header_object_named_tie_rejected(self):
+        text = "rps m=2 objects=R,TIE\ncounts=1,1 winner=TIE\n"
+        with pytest.raises(GameFileError, match="'TIE' is reserved") as err:
+            parse_game(text)
+        assert err.value.line == 1
 
 
 class TestParsing:
@@ -70,6 +103,10 @@ class TestParsing:
             ("counts=1,1 winner=a\n", 1),
             ("rps m=2 objects=a,b\ncounts=1 winner=a\n", 2),
             ("rps m=2 objects=a,b\nnonsense\n", 2),
+            ("rps m=2 objects=a,b\ncounts=1,-1 winner=a\n", 2),
+            ("rps m=2 objects=a,b\ncounts=1,x winner=a\n", 2),
+            ("rps m=2 objects=a,b\ncounts=1,1\n", 2),
+            ("rps m=2 objects=a,TIE\n", 1),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -81,6 +118,22 @@ class TestParsing:
         text = "rps m=2 objects=a,b\n"
         with pytest.raises(GameFileError):
             parse_game(text)
+
+    def test_first_missing_multiset_is_named(self):
+        text = "rps m=2 objects=R,P,S\ncounts=1,1,0 winner=P\n"
+        with pytest.raises(GameFileError) as err:
+            parse_game(text)
+        assert str(err.value) == "no line for multiset (0, 1, 1)"
+        assert err.value.line is None
+
+    def test_monoset_lines_may_be_given_or_omitted(self):
+        mixed = "counts=1,1,0 winner=P\ncounts=1,0,1 winner=R\ncounts=0,1,1 winner=S\n"
+        header = "rps m=2 objects=R,P,S\n"
+        some = parse_game(header + "counts=0,2,0 winner=TIE\n" + mixed)
+        none = parse_game(header + mixed)
+        for counts, _ in enumerate_multisets(3, 2):
+            assert eval_outcome(some, counts) == eval_outcome(none, counts)
+        assert dump_game(some) == dump_game(none)
 
     def test_missing_header(self):
         with pytest.raises(GameFileError):
