@@ -17,8 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, product
-from operator import and_, ge, mul, ne, sub
+from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
+from operator import add, and_, ge, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
@@ -469,10 +469,13 @@ def _best_response_profiles(
     All starts are drawn first, in start-by-start order, and advance
     together sweep by sweep; ``cols[i][o]`` holds player i's probability
     of object o, one entry per active start.  An update builds the
-    opponents' joint column by column in ``itertools.product`` order,
-    takes each start's payoff dots over its row of that joint, and does
-    the cut, best set, damped step and change column-wise.  So each start
-    does the float operations of running alone, and its profile is the same.
+    opponents' joint column by column in ``itertools.product`` order and
+    sums each object's payoff column over the tuples it does not tie
+    against, in that order, a payoff of 1 or -1 as a bare add or subtract:
+    a skipped zero term would add 0.0, which changes no sum, and 1.0 * p is
+    p.  The cut, best set, damped step and change are column-wise too.  So
+    each start does the float operations of running alone, and its
+    profile is the same.
 
     A start is kept once a sweep moves no component by 1e-10.  It is
     dropped after 300 sweeps that still move one by 1e-4, or as soon as
@@ -482,7 +485,8 @@ def _best_response_profiles(
     unconverged sweeps forever.  Kept profiles come back in start order.
     """
     m, n = rule.m, rule.n
-    rows = _payoff_rows(rule, cache)
+    # nonzero[o]: (j, payoff) for each ordered opponent tuple j with a nonzero payoff
+    nonzero = [[(j, r) for j, r in enumerate(row) if r] for row in _payoff_rows(rule, cache)]
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
     damping, hold = config.damping, 1.0 - config.damping
     starts = [[_random_simplex(rng, n) for _ in range(m)] for _ in range(config.starts)]
@@ -502,15 +506,24 @@ def _best_response_profiles(
             break
         if it == mark:
             saved, mark = state, 2 * mark
-        change = [0.0] * len(ids)
+        change = zeros = [0.0] * len(ids)
         for i in range(m):
             # joint[j][k]: probability that start k's opponents play ordered tuple j
             opp = [cols[j] for j in opponents[i]] or [[[1.0] * len(ids)]]
             joint = opp[0]  # 1.0 * p == p: the first factor needs no product
             for c in opp[1:]:
                 joint = [list(map(mul, a, b)) for a in joint for b in c]
-            by_start = list(zip(*joint))
-            u = [[sum(map(mul, row, t)) for t in by_start] for row in rows]
+            u = []
+            for terms in nonzero:
+                uo = zeros
+                for j, r in terms:
+                    if r == 1.0:
+                        uo = list(map(add, uo, joint[j]))
+                    elif r == -1.0:
+                        uo = list(map(sub, uo, joint[j]))
+                    else:
+                        uo = list(map(add, uo, map(mul, repeat(r), joint[j])))
+                u.append(uo)
             cut = [max(us) - 1e-12 for us in zip(*u)]
             best = [list(map(ge, uo, cut)) for uo in u]
             # damping * (share if b else 0.0), as damping * 0.0 is 0.0
@@ -529,6 +542,63 @@ def _best_response_profiles(
     return [kept[k] for k in sorted(kept)]
 
 
+def _can_settle(rule: GameRule, cache: dict, damping: float) -> bool:
+    """Whether damped best response at ``damping`` could keep any start.
+
+    A start is kept after a sweep that moves no component by 1e-10.  Let
+    B_i be player i's float best set at that sweep and y_i uniform on B_i.
+    A damped step moves a state by damping times its distance to y_i, so
+    each player's state lies within (1e-10 + 1e-15) / damping of y_i
+    before its update, 1e-15 bounding the step's rounding, and within
+    1e-10 of that after it: within delta = 1e-10 + (1e-10 + 1e-15) /
+    damping of y_i throughout the sweep.  The payoffs are multilinear in
+    the opponents' vectors, so the kernel's float payoffs differ from the
+    exact u(y) by at most E = rmax * (m - 1) * n * delta + 1e-12, rmax
+    being the largest pure payoff in absolute value and 1e-12 bounding
+    the rounding of the dots.  The kernel's cut lies 1e-12 below its top
+    payoff, so for every player
+
+        B_i is a subset of {o : u_o(y) > max u(y) - 1e-12 - 2E}.
+
+    So no start is ever kept unless some profile of nonempty supports S_i
+    has every object of every S_i within 1e-12 + 2E of the top payoff at
+    y.  (The converse bound, o in B_i whenever u_o(y) >= max u(y) - 1e-12
+    + 2E, never holds, as 2E > 1e-12.)  Payoffs depend on the opponents'
+    multiset alone, so profiles are enumerated up to player order, smaller
+    supports first (pure profiles come first), with u memoized per
+    opponent multiset.
+    """
+    m, n = rule.m, rule.n
+    rmax = max(abs(x) for row in cache.values() for x in row)
+    delta = 1e-10 + (1e-10 + 1e-15) / damping
+    margin = 1e-12 + 2.0 * (rmax * (m - 1) * n * delta + 1e-12)
+    supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+    uniform = {s: tuple(1.0 / len(s) if o in s else 0.0 for o in range(n)) for s in supports}
+    payoffs: dict[tuple, list[float]] = {}
+
+    def fits(s: tuple[int, ...], opponents: tuple) -> bool:
+        u = payoffs.get(opponents)
+        if u is None:
+            u = payoffs[opponents] = _opponent_payoffs(
+                rule, cache, [uniform[t] for t in opponents]
+            )
+        floor = max(u) - margin
+        return all(u[o] > floor for o in s)
+
+    # Each profile once, as a nondecreasing tuple of supports grouped by its
+    # last support; removing one entry leaves the opponents' tuple sorted.
+    for last, s in enumerate(supports):
+        for rest in combinations_with_replacement(supports[: last + 1], m - 1):
+            profile = rest + (s,)
+            if all(
+                fits(t, profile[:i] + profile[i + 1 :])
+                for i, t in enumerate(profile)
+                if i == 0 or t != profile[i - 1]
+            ):
+                return True
+    return False
+
+
 def search_equilibria(
     rule: GameRule, config: SearchConfig
 ) -> list[tuple[MixedProfile, NashGapReport]]:
@@ -540,10 +610,14 @@ def search_equilibria(
     of running alone and leaves at its own sweep, so the candidates, in
     start order, are those of one start at a time.  A start that returns
     exactly to an earlier state is cycling and is dropped at once; it
-    could never converge, so this only saves time.  Every candidate must
-    pass the deviation-gap check at ``config.eps``; survivors are
-    deduplicated within sup distance ``config.dedup``.  The list may be
-    empty (inconclusive); it is never claimed exhaustive.
+    could never converge, so this only saves time.  Best response runs
+    only where ``_can_settle`` finds a profile of supports that a kept
+    start could end at; elsewhere (imbalanced3 at m = 3 and 4, say) no
+    start could be kept, and as best response is the last stage to draw
+    from the seeded stream, skipping it changes no result.  Every
+    candidate must pass the deviation-gap check at ``config.eps``;
+    survivors are deduplicated within sup distance ``config.dedup``.  The
+    list may be empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")
@@ -555,8 +629,9 @@ def search_equilibria(
         for support in combinations(range(rule.n), size):
             for v in _symmetric_support_candidates(rule, support, cache, rng):
                 candidates.append((v,) * rule.m)
-    for vectors in _best_response_profiles(rule, cache, config, rng):
-        candidates.append(tuple(tuple(v) for v in vectors))
+    if _can_settle(rule, cache, config.damping):  # nothing reads rng after this
+        for vectors in _best_response_profiles(rule, cache, config, rng):
+            candidates.append(tuple(tuple(v) for v in vectors))
 
     verified: list[tuple[MixedProfile, NashGapReport]] = []
     seen: list[tuple[float, ...]] = []

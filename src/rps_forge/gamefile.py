@@ -13,7 +13,8 @@ for the same multiset is an error.  ``winner`` names an object label or
 ``TIE``.  Labels are nonempty, not ``TIE``, and hold no whitespace or ``,``.
 Monoset lines may be omitted: unspecified monosets default to an all-way
 tie.  Lines starting with ``#`` are comments; a ``# construction:``
-comment round-trips the builder tag.
+comment round-trips the builder tag, which must be one line with no
+leading or trailing whitespace.
 """
 
 from __future__ import annotations
@@ -39,9 +40,13 @@ def dump_game(rule: GameRule) -> str:
         if label == "TIE" or "," in label or label.split() != [label]:
             raise GameFileError(f"object label {label!r} cannot be written: labels must be "
                                 "nonempty, not TIE, and hold no whitespace or ','")
+    tag = rule.construction
+    if tag and (tag.splitlines() != [tag] or tag.strip() != tag):
+        raise GameFileError(f"construction tag {tag!r} cannot be written: it must be one "
+                            "line with no leading or trailing whitespace")
     lines = []
-    if rule.construction:
-        lines.append(f"# construction: {rule.construction}")
+    if tag:
+        lines.append(f"# construction: {tag}")
     lines.append(f"rps m={rule.m} objects={','.join(rule.labels)}")
     for counts, _ in enumerate_multisets(rule.n, rule.m):
         winner = eval_outcome(rule, counts).winner

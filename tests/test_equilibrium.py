@@ -13,7 +13,9 @@ profiles and gap reports with it.  The straightforward loop keeps no
 check for an exact repeat of the state, so equality also shows that ending
 a cycling start at its first repeat changes no result.  Sha256 pins of
 ``search_equilibria`` output, taken before the lockstep kernel, cover the
-benchmark's six search games.
+benchmark's six search games.  ``_can_settle`` decides whether best response
+runs at all; the scalar loop checks it on every game here, and wherever a
+start is kept the check must have allowed it.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ from rps_forge.equilibrium import (
     MixedProfile,
     SearchConfig,
     _best_response_profiles,
+    _can_settle,
     _payoff_rows,
     _pure_payoff_cache,
     _random_simplex,
@@ -664,25 +667,112 @@ class TestLockstepOracle:
             assert got == []
 
 
+@pytest.fixture
+def br_updates(monkeypatch):
+    """Counts best-response updates: the kernel compares each start's
+    payoff of each object against its cut once per player and sweep."""
+    calls = [0]
+
+    def counting_ge(a, b):
+        calls[0] += 1
+        return a >= b
+
+    monkeypatch.setattr(equilibrium, "ge", counting_ge)
+    return calls
+
+
 class TestCycleCheck:
     """Best response on ``imbalanced3`` only cycles; each start must stop at
-    its first exact repeat instead of running out the 302-sweep give-up rule."""
+    its first exact repeat instead of running out the 302-sweep give-up rule.
+    ``search_equilibria`` runs no best response at m = 3 and 4, where no
+    start can settle, so the kernel is called directly."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_cycling_starts_stop_early(self, m, monkeypatch):
-        updates = 0
-
-        def counting_sub(a, b):
-            nonlocal updates
-            updates += 1
-            return a - b
-
-        monkeypatch.setattr(equilibrium, "sub", counting_sub)
+    def test_cycling_starts_stop_early(self, m, br_updates):
         rule = imbalanced_rps3(m)
         config = SearchConfig(seed=0, starts=20)
-        search_equilibria(rule, config)
-        sweeps_per_start = updates / (config.starts * m * rule.n)
-        assert 0 < sweeps_per_start < 100
+        kept = _best_response_profiles(rule, _pure_payoff_cache(rule), config, random.Random(0))
+        sweeps_per_start = br_updates[0] / (config.starts * m * rule.n)
+        assert kept == [] and 0 < sweeps_per_start < 100
+
+
+# Games where no support profile is near a best response to itself, so no
+# best-response start can ever be kept.
+NEVER_SETTLE = {
+    "imbalanced3 m=3": imbalanced_rps3(3),
+    "imbalanced3 m=4": imbalanced_rps3(4),
+    "imbalanced m=3 k=2": imbalanced_rps(3, 2),
+}
+
+
+class TestSettleSkip:
+    """``search_equilibria`` runs best response only where ``_can_settle``
+    finds a profile that a kept start could end at."""
+
+    @pytest.mark.parametrize("name", sorted(NEVER_SETTLE))
+    def test_skipped_where_no_start_can_settle(self, name, br_updates, monkeypatch):
+        rule = NEVER_SETTLE[name]
+        config = SearchConfig(seed=1, starts=20)
+        got = search_equilibria(rule, config)
+        assert br_updates[0] == 0
+        monkeypatch.setattr(equilibrium, "_can_settle", lambda *args: True)
+        want = search_equilibria(rule, config)
+        assert br_updates[0] > 0 and got == want
+
+    def test_settling_games_still_run_best_response(self, search_workload_games, br_updates):
+        games = [imbalanced_rps3(2)] + [game for game, _ in search_workload_games[1:]]
+        for game in games:
+            before = br_updates[0]
+            search_equilibria(game, SearchConfig(seed=1, starts=5))
+            assert br_updates[0] > before, game.construction
+
+    def test_imbalanced_k2_result_is_pinned(self):
+        # Taken when all 200 starts still ran the full 302 sweeps.
+        found = search_equilibria(imbalanced_rps(3, 2), SearchConfig(seed=1))
+        text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "7765789366f835f67dcff70eab3f4e31243fd9c7084c7c195ee17b334d992c6d"
+        )
+
+
+def _settle_oracle_games():
+    games = dict(LOCKSTEP_GAMES)
+    rng = random.Random(20261019)
+    for copy in range(12):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        games[f"random m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
+    return games
+
+
+SETTLE_ORACLE_GAMES = _settle_oracle_games()
+
+
+class TestSettleOracle:
+    """``_can_settle`` against the scalar best-response loop: wherever a
+    start is kept, the check must have allowed it."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3])
+    @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
+    def test_true_wherever_a_start_is_kept(self, name, damping):
+        rule = SETTLE_ORACLE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=6, damping=damping)
+        kept = any(
+            scalar_best_response_profiles(rule, cache, config, random.Random(seed))
+            for seed in range(3)
+        )
+        assert _can_settle(rule, cache, damping) or not kept
+        if name in NEVER_SETTLE:
+            assert not _can_settle(rule, cache, damping)
+
+    def test_slack_grows_as_damping_shrinks(self):
+        # Every support profile of imbalanced3 m=3 misses the condition by
+        # an exact 2/3; the slack 2E reaches that near damping 3.6e-9.
+        rule = imbalanced_rps3(3)
+        cache = _pure_payoff_cache(rule)
+        assert not _can_settle(rule, cache, 1e-8)
+        assert _can_settle(rule, cache, 1e-9)
 
 
 class TestSearchConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,25 @@ class TestRoundTrip:
         save_game(rule, path)
         assert "# construction: imbalanced m=4 k=2" in path.read_text()
         assert load_game(path).construction == "imbalanced m=4 k=2"
+
+    @pytest.mark.parametrize(
+        "tag", ["x\ncounts=2,0,0 winner=R", "x\r", "a\rb", "x\u2028y", " x", "x ", "x\t"]
+    )
+    def test_unwritable_construction_tags_are_named(self, tag):
+        # "x\ncounts=2,0,0 winner=R" used to dump a multiset line above the
+        # header; the others would load back as a different tag
+        rule = dataclasses.replace(imbalanced_rps3(2), construction=tag)
+        with pytest.raises(GameFileError, match="construction tag") as err:
+            dump_game(rule)
+        assert repr(tag) in str(err.value)
+
+    @pytest.mark.parametrize("tag", ["x", "a  b", "a=b, #c", "imbalanced3 m=2", "x:y"])
+    def test_other_construction_tags_round_trip(self, tag):
+        rule = dataclasses.replace(imbalanced_rps3(2), construction=tag)
+        text = dump_game(rule)
+        loaded = parse_game(text)
+        assert loaded.construction == tag
+        assert dump_game(loaded) == text
 
     def test_table_size(self, tmp_path):
         path = tmp_path / "g.rps"
