@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
-from operator import add, and_, ge, mul, ne, sub
+from itertools import (
+    accumulate, chain, combinations, combinations_with_replacement, compress, product, repeat
+)
+from operator import add, and_, eq, ge, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
@@ -33,6 +36,26 @@ class SolverError(RuntimeError):
     """No interior equilibrium could be bracketed."""
 
 
+def _check_distribution(v: Vector) -> None:
+    """Raise ``GameError`` unless ``v`` is a probability vector."""
+    if any(p < 0 for p in v):
+        raise GameError(f"negative probability in {v}")
+    if not all(map(math.isfinite, v)):  # NaN passes the other two checks
+        raise GameError(f"non-finite probability in {v}")
+    if abs(float(sum(v)) - 1.0) > PROB_SUM_TOL:
+        raise GameError(f"probabilities sum to {float(sum(v))}, not 1")
+
+
+def _check_shape(rule: GameRule, profile: MixedProfile) -> None:
+    """Raise ``GameError`` unless ``profile`` has one vector per player and
+    one entry per object of ``rule``."""
+    if profile.m != rule.m:
+        raise GameError(f"profile has {profile.m} players, game has {rule.m}")
+    for v in profile.vectors:
+        if len(v) != rule.n:
+            raise GameError(f"profile has {len(v)} entries for {rule.n} objects")
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """One probability vector over objects per player."""
@@ -42,12 +65,7 @@ class MixedProfile:
 
     def __post_init__(self):
         for v in self.vectors:
-            if any(p < 0 for p in v):
-                raise GameError(f"negative probability in {v}")
-            if not all(map(math.isfinite, v)):  # NaN passes the other two checks
-                raise GameError(f"non-finite probability in {v}")
-            if abs(float(sum(v)) - 1.0) > PROB_SUM_TOL:
-                raise GameError(f"probabilities sum to {float(sum(v))}, not 1")
+            _check_distribution(v)
         if self.symmetric and len(set(self.vectors)) > 1:
             raise GameError("symmetric profile with differing vectors")
 
@@ -105,9 +123,12 @@ def expected_payoff(
     """Expected payoff to ``player`` for the pure choice ``pure`` while the
     other players mix according to ``profile``.  Exact when the profile is
     rational."""
-    if profile.m != rule.m:
-        raise GameError(f"profile has {profile.m} players, game has {rule.m}")
+    _check_shape(rule, profile)
+    if not 0 <= player < rule.m:
+        raise GameError(f"player {player} out of range 0..{rule.m - 1}")
     o = pure if isinstance(pure, int) else rule.index_of(pure)
+    if not 0 <= o < rule.n:
+        raise GameError(f"object {o} out of range 0..{rule.n - 1}")
     others = [v for i, v in enumerate(profile.vectors) if i != player]
     total: Number = 0
     for counts, pr in choice_count_distribution(others, rule.n).items():
@@ -158,8 +179,7 @@ def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
     operations, and hence the report, are those of evaluating every
     player on their own.
     """
-    if profile.m != rule.m:
-        raise GameError(f"profile has {profile.m} players, game has {rule.m}")
+    _check_shape(rule, profile)
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     seen: dict[tuple, list[float]] = {}
     per_player: list[tuple[float, ...]] = []
@@ -303,6 +323,7 @@ def expected_winner_count(vector: Sequence[Number], rule: GameRule) -> Number:
     v = tuple(vector)
     if len(v) != rule.n:
         raise GameError(f"profile has {len(v)} entries for {rule.n} objects")
+    _check_distribution(v)
     total: Number = 0
     for counts, weight in enumerate_multisets(rule.n, rule.m):
         pr: Number = weight
@@ -389,6 +410,33 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
     return [mat[i][d] / mat[i][i] for i in range(d)]
 
 
+def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> bool:
+    """Whether the payoff differences on ``support`` provably never all
+    come within 1e-12 of zero, so neither the scan nor Newton can return
+    a root.
+
+    On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) over opponent
+    counts c, D_c[k] = row_c[s_k] - row_c[last], with the Bernstein basis
+    B_c >= 0 summing to 1.  If sigma . D_c > |sigma|_1 (1e-12 + err) for
+    all c, so does sigma . f, hence max |f_k| > 1e-12 + err, ``err``
+    bounding the float error of ``diffs`` (for m <= 4, n <= 5).
+    """
+    off = [o for o in range(rule.n) if o not in support]
+    last = support[-1]
+    gaps = [
+        [row[o] - row[last] for o in support[:-1]]
+        for counts, row in cache.items()
+        if not any(counts[o] for o in off)
+    ]
+    rmax = max(abs(r) for row in cache.values() for r in row)
+    err = (len(gaps) + rule.m * len(support) + 4) * rmax * 2.0**-48
+    for sigma in product((-1, 0, 1), repeat=len(support) - 1):
+        norm = sum(map(abs, sigma))
+        if norm and min(sum(map(mul, sigma, g)) for g in gaps) > norm * (1e-12 + err):
+            return True
+    return False
+
+
 def _symmetric_support_candidates(
     rule: GameRule, support: tuple[int, ...], cache: dict, rng: random.Random
 ) -> list[tuple[float, ...]]:
@@ -403,6 +451,10 @@ def _symmetric_support_candidates(
 
     if size == 1:
         return [lift([1.0])]
+    if _gaps_keep_a_sign(rule, support, cache):
+        for _ in range(24 if size >= 3 else 0):
+            _random_simplex(rng, size)  # the draws Newton would make
+        return []
 
     def diffs(x: list[float]) -> list[float]:
         v = lift(x + [1.0 - sum(x)])
@@ -482,17 +534,21 @@ def _best_response_profiles(
     its state at the top of a sweep equals the copy saved at sweep 1, 2,
     4, 8, ... (Brent's cycle check, with marks shared by all starts).  A
     sweep depends on the state alone, so such a repeat replays the same
-    unconverged sweeps forever.  Kept profiles come back in start order.
+    unconverged sweeps forever.  A start whose best sets provably never
+    change again is finished by ``_lock_in``, without payoffs.  Kept
+    profiles come back in start order.
     """
     m, n = rule.m, rule.n
     # nonzero[o]: (j, payoff) for each ordered opponent tuple j with a nonzero payoff
     nonzero = [[(j, r) for j, r in enumerate(row) if r] for row in _payoff_rows(rule, cache)]
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
     damping, hold = config.damping, 1.0 - config.damping
+    lock_in = _lock_in(rule, cache, config) if hold else None
     starts = [[_random_simplex(rng, n) for _ in range(m)] for _ in range(config.starts)]
     cols = [[[s[i][o] for s in starts] for o in range(n)] for i in range(m)]
     ids, go = list(range(config.starts)), [True] * config.starts
     saved, mark = [()] * config.starts, 1  # no state equals (): nothing saved yet
+    due, wait = [0] * config.starts, [1] * config.starts  # the sweep of the next lock-in test
     kept = {}
     for it in range(config.max_iter):
         # Drop finished starts and starts back at their saved state, which
@@ -500,13 +556,16 @@ def _best_response_profiles(
         state = list(zip(*chain.from_iterable(cols)))
         go = list(map(and_, go, map(ne, state, saved)))
         if not all(go):
-            ids, state, saved = (list(compress(x, go)) for x in (ids, state, saved))
+            ids, state, saved, due, wait = (
+                list(compress(x, go)) for x in (ids, state, saved, due, wait)
+            )
             cols = [[list(compress(c, go)) for c in player] for player in cols]
         if not ids:
             break
         if it == mark:
             saved, mark = state, 2 * mark
         change = zeros = [0.0] * len(ids)
+        best_sets, alone = [], [True] * len(ids)
         for i in range(m):
             # joint[j][k]: probability that start k's opponents play ordered tuple j
             opp = [cols[j] for j in opponents[i]] or [[[1.0] * len(ids)]]
@@ -526,8 +585,11 @@ def _best_response_profiles(
                 u.append(uo)
             cut = [max(us) - 1e-12 for us in zip(*u)]
             best = [list(map(ge, uo, cut)) for uo in u]
+            best_sets.append(list(zip(*best)))
+            sizes = list(map(sum, best_sets[i]))
+            alone = list(map(and_, alone, map(eq, sizes, repeat(1))))
             # damping * (share if b else 0.0), as damping * 0.0 is 0.0
-            step = [damping * (1.0 / sum(bs)) for bs in zip(*best)]
+            step = [damping * (1.0 / c) for c in sizes]
             new = [
                 [hold * x + (d if b else 0.0) for x, b, d in zip(xs, bo, step)]
                 for xs, bo in zip(cols[i], best)
@@ -539,7 +601,143 @@ def _best_response_profiles(
         for k in compress(range(len(ids)), done):
             kept[ids[k]] = [[c[k] for c in player] for player in cols]
         go = [not d and not (it > 300 and c > 1e-4) for d, c in zip(done, change)]
+        if lock_in is None:
+            continue
+        # Finish without payoffs each start whose best sets are single objects
+        # that can no longer change; one failing the test waits twice as long
+        # for the next.
+        for k in compress(range(len(ids)), map(and_, go, alone)):
+            if due[k] > it:
+                continue
+            b = tuple(bs[k].index(True) for bs in best_sets)
+            locked, profile = lock_in(b, [c[k] for player in cols for c in player], it)
+            if not locked:
+                due[k], wait[k] = it + wait[k], 2 * wait[k]
+                continue
+            go[k] = False
+            if profile is not None:
+                kept[ids[k]] = profile
     return [kept[k] for k in sorted(kept)]
+
+
+def _lock_in(
+    rule: GameRule, cache: dict, config: SearchConfig
+) -> Callable[[tuple[int, ...], list[float], int], tuple[bool, list[list[float]] | None]]:
+    """``lock_in(b, x, it)`` for a start at flat state ``x`` after sweep
+    ``it`` with best sets {b_i}: (False, None) unless they provably never
+    change; else (True, the profile the kernel keeps, or None).
+
+    With d_j = x_j - e_{b_j}, player i then meets opponent j at e_{b_j} +
+    a_ij * mu * d_j, mu = hold^s after s more sweeps, a_ij = hold if j < i
+    else 1.  So u_{b_i} - u_o = c0 + mu L + mu^2 Q + R, with c0 the gap at
+    b, L and Q the terms in one and two d_j, and |R| <= mu^2 w (prod(1 +
+    t_j) - 1 - e1 - e2), t_j = a_ij |d_j|_1, e1 and e2 their elementary
+    symmetric sums, w the widest gap.  A running start moved 1e-10 last
+    sweep, so mu >= mu_min = hold * 1e-10 / (damping * max |d|), up to
+    rounding.  If c0 + mu L + mu^2 min(0, Q - |R| / mu^2), concave in mu,
+    clears the cut 1e-12 plus ``tol`` (float error; ``slip`` bounds the
+    drift from the ideal path) at mu_min and at 1, then by induction o
+    stays out of every later best set.
+
+    The start then runs the kernel's update, keep and give-up rules
+    without payoffs, skipping the change while a sweep certainly moves
+    1e-10 before sweep 301.  Its repeat rule never fires: each component
+    follows a nondecreasing map, so its iterates are monotone; a repeat of
+    the state saved at sweep t would make them constant from t, so the
+    start was kept at t.
+    """
+    m, n = rule.m, rule.n
+    damping, hold = config.damping, 1.0 - config.damping
+    rmax = max(abs(r) for row in cache.values() for r in row)
+    slip = 4e-16 / damping  # each step's rounding, summed over a geometric series
+    tol = 1e-12 + (rmax + 1.0) * ((n ** (m - 1) + m * n + 8) * 2.0**-48 + 2 * (m - 1) * n * slip)
+    fall = list(accumulate(repeat(hold, 300), mul, initial=hold - 1.0))  # -(1 - hold) * hold^s
+    players = []  # per player: (opponent j, a_ij), and the pairs of those
+    for i in range(m):
+        opps = [(j, hold if j < i else 1.0) for j in range(m) if j != i]
+        players.append((opps, list(combinations(opps, 2))))
+    tables: dict[tuple[int, ...], list | None] = {}
+
+    def table(b: tuple[int, ...]) -> list | None:
+        """Per player i and object o != b_i: c0, the coefficients of L and
+        of Q, and w; None if b is no pure equilibrium."""
+        def gap(i: int, moved: dict[int, int], o: int) -> float:
+            counts = [0] * n
+            for k in range(m):
+                if k != i:
+                    counts[moved.get(k, b[k])] += 1
+            row = cache[tuple(counts)]
+            return row[b[i]] - row[o]
+
+        out = []
+        for i, (opps, pairs) in enumerate(players):
+            gaps = []
+            for o in range(n):
+                if o != b[i]:
+                    c0 = gap(i, {}, o)
+                    if c0 < 0:
+                        return None
+                    gaps.append((
+                        c0,
+                        [a * gap(i, {j: t}, o) for j, a in opps for t in range(n)],
+                        [a * c * gap(i, {j: t, k: v}, o)
+                         for (j, a), (k, c) in pairs for t in range(n) for v in range(n)],
+                        max(abs(row[b[i]] - row[o]) for row in cache.values()),
+                    ))
+            out.append(gaps)
+        return out
+
+    def lock_in(
+        b: tuple[int, ...], x: list[float], it: int
+    ) -> tuple[bool, list[list[float]] | None]:
+        if b not in tables:
+            tables[b] = table(b)
+        if tables[b] is None:
+            return False, None
+        d = x[:]
+        for j, bj in enumerate(b):
+            d[j * n + bj] -= 1.0
+        dj = [d[j * n : j * n + n] for j in range(m)]
+        top = max(map(abs, d))
+        # 1 - 1e-6 covers the rounding of the change, and of 1 - hold against damping
+        mu = hold * (1e-10 * (1 - 1e-6) - 2 * slip) / (damping * top) if top else 1.0
+        mu = min(1.0, max(0.0, mu))
+        for (opps, pairs), gaps in zip(players, tables[b]):
+            one = [v for j, _ in opps for v in dj[j]]
+            two = [v * y for (j, _), (k, _) in pairs for v in dj[j] for y in dj[k]]
+            t = [a * sum(map(abs, dj[j])) for j, a in opps]
+            e2 = sum(u * v for u, v in combinations(t, 2))
+            rest = max(0.0, math.prod(1.0 + v for v in t) - 1.0 - sum(t) - e2)
+            for c0, g1, g2, w in gaps:
+                lin = sum(map(mul, g1, one))
+                curve = min(0.0, sum(map(mul, g2, two)) - w * rest)
+                if c0 + mu * lin + mu * mu * curve <= tol or c0 + lin + curve <= tol:
+                    return False, None
+        steps = [damping if j % n == b[j // n] else 0.0 for j in range(m * n)]
+        # sweep s moves the largest |d| by (1 - hold) * hold^s * top - 2 * slip
+        # or more; 1 - 1e-9 covers the rounding of fall
+        skip = bisect_right(fall, -(1e-10 + 2 * slip) / (top * (1 - 1e-9))) if top else 0
+        skip = max(0, min(skip, config.max_iter - it - 1, 300 - it))
+        for j, s in enumerate(steps):  # the skipped sweeps, one component at a time
+            a = x[j]
+            if s:
+                for _ in range(skip):
+                    a = hold * a + s
+            else:
+                for _ in range(skip):
+                    a *= hold  # hold * a + 0.0, as a >= 0
+            x[j] = a
+        for it in range(it + 1 + skip, config.max_iter):
+            y = [hold * a + s for a, s in zip(x, steps)]
+            change = max(map(abs, map(sub, y, x)))
+            x = y
+            if change < 1e-10:
+                return True, [x[i * n : i * n + n] for i in range(m)]
+            if it > 300 and change > 1e-4:
+                break
+        return True, None
+
+    return lock_in
 
 
 def _can_settle(rule: GameRule, cache: dict, damping: float) -> bool:
@@ -604,7 +802,8 @@ def search_equilibria(
 ) -> list[tuple[MixedProfile, NashGapReport]]:
     """Candidate equilibria of a small game, each independently verified.
 
-    Combines symmetric per-support root finding with multistart damped
+    Combines symmetric per-support root finding, skipping supports where
+    ``_gaps_keep_a_sign`` proves there is none, with multistart damped
     best-response iteration.  The best-response starts run in lockstep,
     one column per (player, object); each start does the float operations
     of running alone and leaves at its own sweep, so the candidates, in
@@ -678,6 +877,7 @@ def classify_playability(
     """Classify playability relative to a list of verified equilibria."""
     per_eq_counts = []
     for prof in equilibria:
+        _check_shape(rule, prof)
         counts = [0] * rule.n
         for v in prof.vectors:
             for o, p in enumerate(v):

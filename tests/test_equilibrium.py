@@ -15,7 +15,10 @@ a cycling start at its first repeat changes no result.  Sha256 pins of
 ``search_equilibria`` output, taken before the lockstep kernel, cover the
 benchmark's six search games.  ``_can_settle`` decides whether best response
 runs at all; the scalar loop checks it on every game here, and wherever a
-start is kept the check must have allowed it.
+start is kept the check must have allowed it.  Starts that ``_lock_in``
+finishes without payoffs must still match the scalar loop, and supports
+that ``_gaps_keep_a_sign`` skips must hold nothing the unguarded scan or
+Newton would find.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul, sub
 from pathlib import Path
 
@@ -104,6 +107,24 @@ class TestExpectedPayoff:
         rule = imbalanced_rps3(m)
         pure_p = symmetric_profile((Fraction(0), Fraction(1), Fraction(0)), m)
         assert expected_payoff(rule, pure_p, 0, "S") == m - 1
+
+    @pytest.mark.parametrize("player", [-1, 3, 5])
+    def test_player_out_of_range_is_named(self, player):
+        rule = imbalanced_rps3(3)
+        with pytest.raises(GameError, match=f"player {player} out of range 0..2"):
+            expected_payoff(rule, uniform_profile(rule), player, "R")
+
+    @pytest.mark.parametrize("pure", [-1, 3, 7])
+    def test_object_out_of_range_is_named(self, pure):
+        rule = imbalanced_rps3(3)
+        with pytest.raises(GameError, match=f"object {pure} out of range 0..2"):
+            expected_payoff(rule, uniform_profile(rule), 0, pure)
+
+    def test_vector_length_mismatch_rejected(self):
+        rule = imbalanced_rps3(3)
+        profile = symmetric_profile((Fraction(1, 5),) * 5, 3)
+        with pytest.raises(GameError, match="profile has 5 entries for 3 objects"):
+            expected_payoff(rule, profile, 0, "R")
 
     def test_published_equilibrium_row_is_near_zero(self):
         rule = imbalanced_rps3(3)
@@ -317,6 +338,19 @@ class TestExpectedWinnerCount:
     def test_pure_monoset_profile(self):
         rule = imbalanced_rps3(5)
         assert expected_winner_count((0, 1, 0), rule) == 5
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            # Once 8.625 winners of 3 players, nan, and 0.336.
+            ((1.5, -0.5, 0), "negative probability"),
+            ((math.nan, 0.5, 0.5), "non-finite probability"),
+            ((0.2, 0.2, 0.2), "probabilities sum to 0.6"),
+        ],
+    )
+    def test_rejects_non_distributions(self, vector, message):
+        with pytest.raises(GameError, match=message):
+            expected_winner_count(vector, imbalanced_rps3(3))
 
     def test_published_twenty_player_row_exceeds_fifteen(self):
         rule = imbalanced_rps3(20)
@@ -775,6 +809,183 @@ class TestSettleOracle:
         assert _can_settle(rule, cache, 1e-9)
 
 
+def _count_lock_ins(monkeypatch) -> list[int]:
+    """Counts the starts ``_lock_in`` finishes without payoffs."""
+    count = [0]
+    make = equilibrium._lock_in
+
+    def counting(*args):
+        lock_in = make(*args)
+
+        def wrapper(*call):
+            locked, profile = lock_in(*call)
+            count[0] += locked
+            return locked, profile
+
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "_lock_in", counting)
+    return count
+
+
+class TestLockInOracle:
+    """A start whose best sets provably stay the same single objects runs
+    its remaining sweeps without payoffs; the kernel must still equal the
+    scalar loop, start for start."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
+    @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
+    def test_profiles_equal_scalar_loop(self, name, damping):
+        rule = SETTLE_ORACLE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=10, damping=damping)
+        seed = sum(map(ord, name))
+        got = _best_response_profiles(rule, cache, config, random.Random(seed))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(seed))
+        assert got == want
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
+    def test_lock_in_fires_across_the_batch(self, damping, monkeypatch):
+        count = _count_lock_ins(monkeypatch)
+        by_players = {}
+        for name, rule in SETTLE_ORACLE_GAMES.items():
+            if not name.startswith(("random", "maximal3", "odd-one-out")):
+                continue
+            before = count[0]
+            config = SearchConfig(seed=0, starts=10, damping=damping)
+            seed = sum(map(ord, name))
+            _best_response_profiles(rule, _pure_payoff_cache(rule), config, random.Random(seed))
+            by_players[rule.m] = by_players.get(rule.m, 0) + count[0] - before
+        if damping == 1.0:  # hold = 0: one sweep reaches the pure profile anyway
+            assert count[0] == 0
+        else:
+            assert all(by_players[m] > 10 for m in (2, 3, 4)), by_players
+
+    @pytest.mark.parametrize("name", ["maximal3 m=3", "odd-one-out m=4"])
+    def test_locked_starts_skip_payoffs(self, name, br_updates):
+        # Without the lock-in every start computes payoffs for about 34 sweeps.
+        rule = ORACLE_GAMES[name]
+        config = SearchConfig(seed=1)
+        kept = _best_response_profiles(rule, _pure_payoff_cache(rule), config, random.Random(1))
+        sweeps_per_start = br_updates[0] / (config.starts * rule.m * rule.n)
+        assert len(kept) == config.starts and sweeps_per_start < 8
+
+    def test_terms_in_two_opponents_can_decide(self, monkeypatch):
+        # Synthetic payoff rows (own object's payoff against the three
+        # opponents' counts) for a 4-player, 3-object game.  A test on
+        # c0 + mu * L alone locks in a start here whose best set changes
+        # later; the terms in two or more opponents' d_j rule that out.
+        rows = {
+            (0, 0, 3): (-1.0, -1.0, 0.0), (0, 1, 2): (-1.0, -1.0, 0.5),
+            (0, 2, 1): (-1.0, -2.4, -2.6), (0, 3, 0): (0.0, -0.5, -3.0),
+            (1, 0, 2): (1.0, 1.6, 1.0), (1, 1, 1): (-3.0, 2.0, 0.5),
+            (1, 2, 0): (1.0, -1.0, 2.35), (2, 0, 1): (-3.0, 1.0, -1.0),
+            (2, 1, 0): (0.5, -3.0, 2.0), (3, 0, 0): (2.0, 1.0, -3.0),
+        }
+        count = _count_lock_ins(monkeypatch)
+        rule = ORACLE_GAMES["table m=4 n=3 #0"]  # only its m and n are read
+        config = SearchConfig(seed=0, starts=30, damping=0.3, max_iter=400)
+        got = _best_response_profiles(rule, rows, config, random.Random(383))
+        want = scalar_best_response_profiles(rule, rows, config, random.Random(383))
+        assert got == want and count[0] > 0
+
+    @pytest.mark.parametrize(
+        "damping, max_iter, kept",
+        [
+            (0.5, 3, 0), (0.5, 20, 0), (0.3, 40, 0), (0.1, 40, 0),
+            (0.5, 10_000, 30), (0.01, 10_000, 0),
+        ],
+    )
+    def test_cap_and_give_up_mid_finish(self, damping, max_iter, kept, monkeypatch):
+        # Locked starts run out of sweeps at the cap or, at damping 0.01,
+        # still move 1e-4 after sweep 300 and are given up, as in the
+        # scalar loop.
+        count = _count_lock_ins(monkeypatch)
+        rule = ORACLE_GAMES["maximal3 m=3"]
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=30, damping=damping, max_iter=max_iter)
+        got = _best_response_profiles(rule, cache, config, random.Random(max_iter))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(max_iter))
+        assert got == want and len(got) == kept and count[0] > 0
+
+
+def _exclusion_games():
+    games = dict(ORACLE_GAMES)
+    rng = random.Random(20261020)
+    for copy in range(12):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        games[f"random m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
+    return games
+
+
+EXCLUSION_GAMES = _exclusion_games()
+
+
+def _supports(n):
+    return [s for size in range(2, n + 1) for s in combinations(range(n), size)]
+
+
+class TestSupportExclusion:
+    """``_gaps_keep_a_sign`` skips a symmetric support whose payoff
+    differences provably never all vanish; the scan or Newton it skips
+    must find nothing there, and the random stream must not notice."""
+
+    @pytest.mark.parametrize("name", sorted(EXCLUSION_GAMES))
+    def test_excluded_supports_hold_no_root(self, name, monkeypatch):
+        rule = EXCLUSION_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        for support in _supports(rule.n):
+            if not equilibrium._gaps_keep_a_sign(rule, support, cache):
+                continue
+            candidates = equilibrium._symmetric_support_candidates
+            rng = random.Random(repr(support))
+            assert candidates(rule, support, cache, rng) == []
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "_gaps_keep_a_sign", lambda *args: False)
+                unguarded = random.Random(repr(support))
+                assert candidates(rule, support, cache, unguarded) == []
+            assert rng.getstate() == unguarded.getstate()
+
+    @pytest.mark.parametrize("gap, excluded", [(5e-13, False), (1e-6, True)])
+    def test_gaps_within_the_root_tolerance_are_kept(self, gap, excluded):
+        # Payoff rows with u_0 - u_2 = u_1 - u_2 = gap against every
+        # opponent: Newton takes any point with all gaps below 1e-12 as a
+        # root, so only a gap beyond that, plus the float margin, may
+        # exclude the support.
+        rule = imbalanced_rps3(2)
+        cache = {counts: (gap, gap, 0.0) for counts in _pure_payoff_cache(rule)}
+        support = (0, 1, 2)
+        assert equilibrium._gaps_keep_a_sign(rule, support, cache) == excluded
+        found = equilibrium._symmetric_support_candidates(rule, support, cache, random.Random(0))
+        assert (found == []) == excluded
+
+    def test_batch_reach(self):
+        excluded = {
+            size: sum(
+                equilibrium._gaps_keep_a_sign(rule, s, _pure_payoff_cache(rule))
+                for rule in EXCLUSION_GAMES.values()
+                for s in _supports(rule.n)
+                if len(s) == size
+            )
+            for size in (2, 3, 4)
+        }
+        assert all(excluded[size] > 0 for size in (2, 3, 4)), excluded
+
+    def test_benchmark_reach(self, search_workload_games):
+        # maximal3's full support, where Newton ran 1,404 payoff evaluations
+        # for nothing, and 12 of the 16 two-object supports.
+        pairs = 0
+        for game, _ in search_workload_games:
+            cache = _pure_payoff_cache(game)
+            pairs += sum(
+                equilibrium._gaps_keep_a_sign(game, pair, cache)
+                for pair in combinations(range(game.n), 2)
+            )
+            full = equilibrium._gaps_keep_a_sign(game, tuple(range(game.n)), cache)
+            assert full == (game.construction == "maximal3 m=3"), game.construction
+        assert pairs == 12
+
+
 class TestSearchConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -845,3 +1056,14 @@ class TestPlayability:
     def test_empty_list_reports_nothing(self):
         report = classify_playability(imbalanced_rps3(3), [], k=1)
         assert not report.playable and not report.weakly_playable
+
+    def test_player_count_mismatch_rejected(self):
+        # Once classified as if it were a profile of the 3-player game.
+        with pytest.raises(GameError, match="profile has 4 players, game has 3"):
+            classify_playability(imbalanced_rps3(3), [uniform_profile(imbalanced_rps3(4))])
+
+    def test_object_count_mismatch_rejected(self):
+        # Once an IndexError.
+        profile = symmetric_profile((Fraction(1, 5),) * 5, 3)
+        with pytest.raises(GameError, match="profile has 5 entries for 3 objects"):
+            classify_playability(imbalanced_rps3(3), [profile])
