@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import (
-    accumulate, chain, combinations, combinations_with_replacement, compress, product, repeat
-)
-from operator import add, and_, eq, ge, mul, ne, sub
+from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
+from operator import add, and_, ge, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
@@ -30,6 +27,13 @@ Number = float | Fraction
 Vector = tuple[Number, ...]
 
 PROB_SUM_TOL = 1e-12
+
+# Damped best response keeps a start once a sweep moves no component by
+# _KEEP_MOVE, and gives it up when a sweep after _GIVE_UP_SWEEP still moves
+# one by _GIVE_UP_MOVE.
+_KEEP_MOVE = 1e-10
+_GIVE_UP_SWEEP = 300
+_GIVE_UP_MOVE = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -565,7 +569,7 @@ def _best_response_profiles(
         if it == mark:
             saved, mark = state, 2 * mark
         change = zeros = [0.0] * len(ids)
-        best_sets, alone = [], [True] * len(ids)
+        best_sets = []
         for i in range(m):
             # joint[j][k]: probability that start k's opponents play ordered tuple j
             opp = [cols[j] for j in opponents[i]] or [[[1.0] * len(ids)]]
@@ -586,10 +590,8 @@ def _best_response_profiles(
             cut = [max(us) - 1e-12 for us in zip(*u)]
             best = [list(map(ge, uo, cut)) for uo in u]
             best_sets.append(list(zip(*best)))
-            sizes = list(map(sum, best_sets[i]))
-            alone = list(map(and_, alone, map(eq, sizes, repeat(1))))
             # damping * (share if b else 0.0), as damping * 0.0 is 0.0
-            step = [damping * (1.0 / c) for c in sizes]
+            step = [damping * (1.0 / sum(bs)) for bs in best_sets[i]]
             new = [
                 [hold * x + (d if b else 0.0) for x, b, d in zip(xs, bo, step)]
                 for xs, bo in zip(cols[i], best)
@@ -597,16 +599,19 @@ def _best_response_profiles(
             for xs, ys in zip(new, cols[i]):
                 change = list(map(max, change, map(abs, map(sub, xs, ys))))
             cols[i] = new
-        done = [c < 1e-10 for c in change]
+        done = [c < _KEEP_MOVE for c in change]
         for k in compress(range(len(ids)), done):
             kept[ids[k]] = [[c[k] for c in player] for player in cols]
-        go = [not d and not (it > 300 and c > 1e-4) for d, c in zip(done, change)]
+        go = [
+            not d and not (it > _GIVE_UP_SWEEP and c > _GIVE_UP_MOVE)
+            for d, c in zip(done, change)
+        ]
         if lock_in is None:
             continue
-        # Finish without payoffs each start whose best sets are single objects
-        # that can no longer change; one failing the test waits twice as long
-        # for the next.
-        for k in compress(range(len(ids)), map(and_, go, alone)):
+        # Finish without payoffs each start whose best sets provably stay at
+        # one object each, its first best one; one failing the test waits
+        # twice as long for the next.
+        for k in compress(range(len(ids)), go):
             if due[k] > it:
                 continue
             b = tuple(bs[k].index(True) for bs in best_sets)
@@ -624,24 +629,23 @@ def _lock_in(
     rule: GameRule, cache: dict, config: SearchConfig
 ) -> Callable[[tuple[int, ...], list[float], int], tuple[bool, list[list[float]] | None]]:
     """``lock_in(b, x, it)`` for a start at flat state ``x`` after sweep
-    ``it`` with best sets {b_i}: (False, None) unless they provably never
-    change; else (True, the profile the kernel keeps, or None).
+    ``it``: (False, None) unless every later best set of each player i is
+    provably {b_i}; else (True, the profile the kernel keeps, or None).
 
-    With d_j = x_j - e_{b_j}, player i then meets opponent j at e_{b_j} +
-    a_ij * mu * d_j, mu = hold^s after s more sweeps, a_ij = hold if j < i
-    else 1.  So u_{b_i} - u_o = c0 + mu L + mu^2 Q + R, with c0 the gap at
-    b, L and Q the terms in one and two d_j, and |R| <= mu^2 w (prod(1 +
-    t_j) - 1 - e1 - e2), t_j = a_ij |d_j|_1, e1 and e2 their elementary
-    symmetric sums, w the widest gap.  A running start moved 1e-10 last
-    sweep, so mu >= mu_min = hold * 1e-10 / (damping * max |d|), up to
-    rounding.  If c0 + mu L + mu^2 min(0, Q - |R| / mu^2), concave in mu,
-    clears the cut 1e-12 plus ``tol`` (float error; ``slip`` bounds the
-    drift from the ideal path) at mu_min and at 1, then by induction o
-    stays out of every later best set.
+    With d_j = x_j - e_{b_j}, while the best sets are {b} player i meets
+    opponent j at e_{b_j} + a_ij * mu * d_j, mu = hold^s after s more
+    sweeps, a_ij = hold if j < i else 1.  So u_{b_i} - u_o = c0 + mu L +
+    R, with c0 the gap at b, L the terms in one d_j, and |R| <= mu^2 H, H
+    = w (prod(1 + t_j) - 1 - sum t_j), t_j = a_ij |d_j|_1, w the widest
+    gap.  A running start moved 1e-10 last sweep, so mu >= mu_min = hold *
+    1e-10 / (damping * max |d|), up to rounding.  If c0 + mu L - mu^2 H,
+    concave in mu, clears the cut 1e-12 plus ``tol`` (float error;
+    ``slip`` bounds the drift from the ideal path) at mu_min and at 1,
+    then by induction o stays out of every later best set.
 
     The start then runs the kernel's update, keep and give-up rules
     without payoffs, skipping the change while a sweep certainly moves
-    1e-10 before sweep 301.  Its repeat rule never fires: each component
+    a component by 1e-10.  Its repeat rule never fires: each component
     follows a nondecreasing map, so its iterates are monotone; a repeat of
     the state saved at sweep t would make them constant from t, so the
     start was kept at t.
@@ -651,16 +655,12 @@ def _lock_in(
     rmax = max(abs(r) for row in cache.values() for r in row)
     slip = 4e-16 / damping  # each step's rounding, summed over a geometric series
     tol = 1e-12 + (rmax + 1.0) * ((n ** (m - 1) + m * n + 8) * 2.0**-48 + 2 * (m - 1) * n * slip)
-    fall = list(accumulate(repeat(hold, 300), mul, initial=hold - 1.0))  # -(1 - hold) * hold^s
-    players = []  # per player: (opponent j, a_ij), and the pairs of those
-    for i in range(m):
-        opps = [(j, hold if j < i else 1.0) for j in range(m) if j != i]
-        players.append((opps, list(combinations(opps, 2))))
+    players = [[(j, hold if j < i else 1.0) for j in range(m) if j != i] for i in range(m)]
     tables: dict[tuple[int, ...], list | None] = {}
 
     def table(b: tuple[int, ...]) -> list | None:
-        """Per player i and object o != b_i: c0, the coefficients of L and
-        of Q, and w; None if b is no pure equilibrium."""
+        """Per player i and object o != b_i: c0, the coefficients of L,
+        and w; None if b is no pure equilibrium."""
         def gap(i: int, moved: dict[int, int], o: int) -> float:
             counts = [0] * n
             for k in range(m):
@@ -670,7 +670,7 @@ def _lock_in(
             return row[b[i]] - row[o]
 
         out = []
-        for i, (opps, pairs) in enumerate(players):
+        for i, opps in enumerate(players):
             gaps = []
             for o in range(n):
                 if o != b[i]:
@@ -680,8 +680,6 @@ def _lock_in(
                     gaps.append((
                         c0,
                         [a * gap(i, {j: t}, o) for j, a in opps for t in range(n)],
-                        [a * c * gap(i, {j: t, k: v}, o)
-                         for (j, a), (k, c) in pairs for t in range(n) for v in range(n)],
                         max(abs(row[b[i]] - row[o]) for row in cache.values()),
                     ))
             out.append(gaps)
@@ -700,40 +698,37 @@ def _lock_in(
         dj = [d[j * n : j * n + n] for j in range(m)]
         top = max(map(abs, d))
         # 1 - 1e-6 covers the rounding of the change, and of 1 - hold against damping
-        mu = hold * (1e-10 * (1 - 1e-6) - 2 * slip) / (damping * top) if top else 1.0
+        mu = hold * (_KEEP_MOVE * (1 - 1e-6) - 2 * slip) / (damping * top) if top else 1.0
         mu = min(1.0, max(0.0, mu))
-        for (opps, pairs), gaps in zip(players, tables[b]):
+        for opps, gaps in zip(players, tables[b]):
             one = [v for j, _ in opps for v in dj[j]]
-            two = [v * y for (j, _), (k, _) in pairs for v in dj[j] for y in dj[k]]
             t = [a * sum(map(abs, dj[j])) for j, a in opps]
-            e2 = sum(u * v for u, v in combinations(t, 2))
-            rest = max(0.0, math.prod(1.0 + v for v in t) - 1.0 - sum(t) - e2)
-            for c0, g1, g2, w in gaps:
+            rest = max(0.0, math.prod(1.0 + v for v in t) - 1.0 - sum(t))
+            for c0, g1, w in gaps:
                 lin = sum(map(mul, g1, one))
-                curve = min(0.0, sum(map(mul, g2, two)) - w * rest)
-                if c0 + mu * lin + mu * mu * curve <= tol or c0 + lin + curve <= tol:
+                if c0 + mu * (lin - mu * w * rest) <= tol or c0 + lin - w * rest <= tol:
                     return False, None
         steps = [damping if j % n == b[j // n] else 0.0 for j in range(m * n)]
-        # sweep s moves the largest |d| by (1 - hold) * hold^s * top - 2 * slip
-        # or more; 1 - 1e-9 covers the rounding of fall
-        skip = bisect_right(fall, -(1e-10 + 2 * slip) / (top * (1 - 1e-9))) if top else 0
-        skip = max(0, min(skip, config.max_iter - it - 1, 300 - it))
-        for j, s in enumerate(steps):  # the skipped sweeps, one component at a time
+        # Sweep it + 1 + s moves the largest |d| by damping * hold^s * top -
+        # 2 * slip or more, which is _KEEP_MOVE or more for s <= skip below.
+        # So the first floor(skip) sweeps (one spare for rounding) need no
+        # change; they run one component at a time, short of the give-up
+        # sweep.  None of them could keep the start, so running past the cap
+        # changes nothing.
+        skip = math.log((_KEEP_MOVE + 2 * slip) / (damping * top)) / math.log(hold) if top else 0
+        skip = max(0, min(math.floor(skip), _GIVE_UP_SWEEP - it))
+        for j, s in enumerate(steps):
             a = x[j]
-            if s:
-                for _ in range(skip):
-                    a = hold * a + s
-            else:
-                for _ in range(skip):
-                    a *= hold  # hold * a + 0.0, as a >= 0
+            for _ in range(skip):
+                a = hold * a + s
             x[j] = a
-        for it in range(it + 1 + skip, config.max_iter):
+        for it in range(it + skip + 1, config.max_iter):
             y = [hold * a + s for a, s in zip(x, steps)]
             change = max(map(abs, map(sub, y, x)))
             x = y
-            if change < 1e-10:
+            if change < _KEEP_MOVE:
                 return True, [x[i * n : i * n + n] for i in range(m)]
-            if it > 300 and change > 1e-4:
+            if it > _GIVE_UP_SWEEP and change > _GIVE_UP_MOVE:
                 break
         return True, None
 
@@ -768,7 +763,7 @@ def _can_settle(rule: GameRule, cache: dict, damping: float) -> bool:
     """
     m, n = rule.m, rule.n
     rmax = max(abs(x) for row in cache.values() for x in row)
-    delta = 1e-10 + (1e-10 + 1e-15) / damping
+    delta = _KEEP_MOVE + (_KEEP_MOVE + 1e-15) / damping
     margin = 1e-12 + 2.0 * (rmax * (m - 1) * n * delta + 1e-12)
     supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
     uniform = {s: tuple(1.0 / len(s) if o in s else 0.0 for o in range(n)) for s in supports}

@@ -770,16 +770,17 @@ class TestSettleSkip:
         )
 
 
-def _settle_oracle_games():
-    games = dict(LOCKSTEP_GAMES)
-    rng = random.Random(20261019)
+def _with_random_tables(base: dict, seed: int) -> dict:
+    """``base`` plus 12 seeded random tables with m <= 4 and n <= 5."""
+    games = dict(base)
+    rng = random.Random(seed)
     for copy in range(12):
         m, n = rng.randint(2, 4), rng.randint(2, 5)
         games[f"random m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
     return games
 
 
-SETTLE_ORACLE_GAMES = _settle_oracle_games()
+SETTLE_ORACLE_GAMES = _with_random_tables(LOCKSTEP_GAMES, 20261019)
 
 
 class TestSettleOracle:
@@ -874,7 +875,8 @@ class TestLockInOracle:
         # Synthetic payoff rows (own object's payoff against the three
         # opponents' counts) for a 4-player, 3-object game.  A test on
         # c0 + mu * L alone locks in a start here whose best set changes
-        # later; the terms in two or more opponents' d_j rule that out.
+        # later; the bound H on the terms in two or more opponents' d_j
+        # rules that out.
         rows = {
             (0, 0, 3): (-1.0, -1.0, 0.0), (0, 1, 2): (-1.0, -1.0, 0.5),
             (0, 2, 1): (-1.0, -2.4, -2.6), (0, 3, 0): (0.0, -0.5, -3.0),
@@ -909,16 +911,7 @@ class TestLockInOracle:
         assert got == want and len(got) == kept and count[0] > 0
 
 
-def _exclusion_games():
-    games = dict(ORACLE_GAMES)
-    rng = random.Random(20261020)
-    for copy in range(12):
-        m, n = rng.randint(2, 4), rng.randint(2, 5)
-        games[f"random m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
-    return games
-
-
-EXCLUSION_GAMES = _exclusion_games()
+EXCLUSION_GAMES = _with_random_tables(ORACLE_GAMES, 20261020)
 
 
 def _supports(n):
