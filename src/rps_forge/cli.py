@@ -194,7 +194,8 @@ def cmd_nash(args) -> tuple[dict, bool]:
                 "symmetric mode solves the imbalanced three-object family; "
                 "use --family imbalanced3 or a game built from it"
             )
-        eq = solve_symmetric_rps3(rule.m, tol=args.tol)
+        config["tol"] = 1e-12 if args.tol is None else args.tol  # the solver's default
+        eq = solve_symmetric_rps3(rule.m, tol=config["tol"])
         profile = symmetric_profile(eq.as_vector(), rule.m)
         gap = nash_gap(rule, profile).gap
         payload = {
@@ -213,9 +214,10 @@ def cmd_nash(args) -> tuple[dict, bool]:
     if args.seed is None:
         raise GameError("search mode is stochastic: --seed is required")
     rule = _load_rule(args)
-    found = search_equilibria(
-        rule, SearchConfig(seed=args.seed, eps=args.tol, starts=args.starts)
-    )
+    eps = {} if args.tol is None else {"eps": args.tol}
+    search = SearchConfig(seed=args.seed, starts=args.starts, **eps)
+    config["tol"] = search.eps
+    found = search_equilibria(rule, search)
     records = []
     for idx, (profile, report) in enumerate(found):
         records.append(
@@ -515,7 +517,7 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("--k", type=int, default=1)
     n.add_argument("--mode", choices=("symmetric", "search"), default="symmetric")
     n.add_argument("--seed", type=int, default=None)
-    n.add_argument("--tol", type=float, default=1e-12)
+    n.add_argument("--tol", type=float, default=None, help="default 1e-12 symmetric, 1e-9 search")
     n.add_argument("--starts", type=int, default=200)
     n.set_defaults(fn=cmd_nash)
 

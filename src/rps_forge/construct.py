@@ -50,7 +50,7 @@ def imbalanced_rps3(m: int, labels: tuple[str, str, str] = ("R", "P", "S")) -> G
     return GameRule(m=m, labels=labels, winner_fn=winner, construction=f"imbalanced3 m={m}")
 
 
-def maximal_rps3(m: int, labels: tuple[str, str, str] = ("R'", "P'", "S'")) -> GameRule:
+def maximal_rps3(m: int) -> GameRule:
     """The maximally lopsided three-object game: R' wins whenever chosen."""
     if m < 2:
         raise GameError(f"need at least two players, got {m}")
@@ -63,10 +63,10 @@ def maximal_rps3(m: int, labels: tuple[str, str, str] = ("R'", "P'", "S'")) -> G
             return win(2, s)
         return all_tie(r + p + s)
 
-    return GameRule(m=m, labels=labels, winner_fn=winner, construction=f"maximal3 m={m}")
+    return GameRule(m=m, labels=("R'", "P'", "S'"), winner_fn=winner, construction=f"maximal3 m={m}")
 
 
-def odd_one_out(m: int, labels: tuple[str, str] = ("a", "b")) -> GameRule:
+def odd_one_out(m: int) -> GameRule:
     """Two objects; whichever side is strictly smaller wins, ties are ties."""
     if m < 2:
         raise GameError(f"need at least two players, got {m}")
@@ -77,7 +77,7 @@ def odd_one_out(m: int, labels: tuple[str, str] = ("a", "b")) -> GameRule:
             return all_tie(a + b)
         return win(0, a) if a < b else win(1, b)
 
-    return GameRule(m=m, labels=labels, winner_fn=winner, construction=f"odd-one-out m={m}")
+    return GameRule(m=m, labels=("a", "b"), winner_fn=winner, construction=f"odd-one-out m={m}")
 
 
 def relabel(rule: GameRule, labels: tuple[str, ...]) -> GameRule:

@@ -233,22 +233,15 @@ class TableRule:
             raise GameError(f"no table entry for multiset {counts}") from None
 
 
-def tabulate(rule: GameRule, sizes: Sequence[int] | None = None) -> GameRule:
-    """Materialize a procedural rule into an explicit table.
-
-    By default only full-size multisets (size ``m``) are tabulated, which
-    matches the on-disk game format.
-    """
-    sizes = tuple(sizes) if sizes is not None else (rule.m,)
-    table: dict[tuple[int, ...], Outcome] = {}
-    for size in sizes:
-        for counts, _ in enumerate_multisets(rule.n, size):
-            table[counts] = eval_outcome(rule, counts)
+def tabulate(rule: GameRule) -> GameRule:
+    """Materialize a procedural rule into an explicit table of its
+    full-size multisets (size ``m``), as the on-disk game format holds."""
+    table = {c: eval_outcome(rule, c) for c, _ in enumerate_multisets(rule.n, rule.m)}
     return GameRule(
         m=rule.m,
         labels=rule.labels,
         winner_fn=TableRule(table),
         construction=rule.construction,
         levels=rule.levels,
-        table_sizes=frozenset(sizes),
+        table_sizes=frozenset({rule.m}),
     )

@@ -28,12 +28,19 @@ Vector = tuple[Number, ...]
 
 PROB_SUM_TOL = 1e-12
 
-# Damped best response keeps a start once a sweep moves no component by
-# _KEEP_MOVE, and gives it up when a sweep after _GIVE_UP_SWEEP still moves
-# one by _GIVE_UP_MOVE.
+# Damped best response moves each player _DAMPING of the way to its best
+# set per sweep, for at most _MAX_SWEEPS sweeps.  It keeps a start once a
+# sweep moves no component by _KEEP_MOVE, and gives it up when a sweep after
+# _GIVE_UP_SWEEP still moves one by _GIVE_UP_MOVE.  The search keeps one
+# verified candidate within each sup distance _DEDUP.
+_DAMPING = 0.5
+_MAX_SWEEPS = 10_000
 _KEEP_MOVE = 1e-10
 _GIVE_UP_SWEEP = 300
 _GIVE_UP_MOVE = 1e-4
+_DEDUP = 1e-6
+
+_SUPPORT_TOL = 1e-9  # a player plays an object when its probability exceeds this
 
 
 class SolverError(RuntimeError):
@@ -349,22 +356,13 @@ class SearchConfig:
 
     seed: int
     eps: float = 1e-9
-    dedup: float = 1e-6
     starts: int = 200
-    max_iter: int = 10_000
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.starts < 0:
             raise GameError(f"starts must be >= 0, got {self.starts}")
-        if self.max_iter < 1:
-            raise GameError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0 < self.damping <= 1:
-            raise GameError(f"damping must lie in (0, 1], got {self.damping}")
         if not self.eps > 0:
             raise GameError(f"eps must be positive, got {self.eps}")
-        if not self.dedup > 0:
-            raise GameError(f"dedup must be positive, got {self.dedup}")
 
 
 def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, ...], tuple[float, ...]]:
@@ -546,15 +544,15 @@ def _best_response_profiles(
     # nonzero[o]: (j, payoff) for each ordered opponent tuple j with a nonzero payoff
     nonzero = [[(j, r) for j, r in enumerate(row) if r] for row in _payoff_rows(rule, cache)]
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
-    damping, hold = config.damping, 1.0 - config.damping
-    lock_in = _lock_in(rule, cache, config) if hold else None
+    damping, hold = _DAMPING, 1.0 - _DAMPING
+    lock_in = _lock_in(rule, cache)
     starts = [[_random_simplex(rng, n) for _ in range(m)] for _ in range(config.starts)]
     cols = [[[s[i][o] for s in starts] for o in range(n)] for i in range(m)]
     ids, go = list(range(config.starts)), [True] * config.starts
     saved, mark = [()] * config.starts, 1  # no state equals (): nothing saved yet
     due, wait = [0] * config.starts, [1] * config.starts  # the sweep of the next lock-in test
     kept = {}
-    for it in range(config.max_iter):
+    for it in range(_MAX_SWEEPS):
         # Drop finished starts and starts back at their saved state, which
         # cycle forever; state[k] is start k's profile, flattened.
         state = list(zip(*chain.from_iterable(cols)))
@@ -606,8 +604,6 @@ def _best_response_profiles(
             not d and not (it > _GIVE_UP_SWEEP and c > _GIVE_UP_MOVE)
             for d, c in zip(done, change)
         ]
-        if lock_in is None:
-            continue
         # Finish without payoffs each start whose best sets provably stay at
         # one object each, its first best one; one failing the test waits
         # twice as long for the next.
@@ -615,7 +611,7 @@ def _best_response_profiles(
             if due[k] > it:
                 continue
             b = tuple(bs[k].index(True) for bs in best_sets)
-            locked, profile = lock_in(b, [c[k] for player in cols for c in player], it)
+            locked, profile = lock_in(b, cols, k, it)
             if not locked:
                 due[k], wait[k] = it + wait[k], 2 * wait[k]
                 continue
@@ -626,11 +622,13 @@ def _best_response_profiles(
 
 
 def _lock_in(
-    rule: GameRule, cache: dict, config: SearchConfig
-) -> Callable[[tuple[int, ...], list[float], int], tuple[bool, list[list[float]] | None]]:
-    """``lock_in(b, x, it)`` for a start at flat state ``x`` after sweep
-    ``it``: (False, None) unless every later best set of each player i is
-    provably {b_i}; else (True, the profile the kernel keeps, or None).
+    rule: GameRule, cache: dict
+) -> Callable[[tuple[int, ...], list, int, int], tuple[bool, list[list[float]] | None]]:
+    """``lock_in(b, cols, k, it)`` for start ``k`` of the kernel's columns
+    ``cols`` after sweep ``it``: (False, None) unless every later best set
+    of each player i is provably {b_i}; else (True, the profile the kernel
+    keeps, or None).  The start's flat state x is read only once b is known
+    to be a pure equilibrium.
 
     With d_j = x_j - e_{b_j}, while the best sets are {b} player i meets
     opponent j at e_{b_j} + a_ij * mu * d_j, mu = hold^s after s more
@@ -651,7 +649,7 @@ def _lock_in(
     start was kept at t.
     """
     m, n = rule.m, rule.n
-    damping, hold = config.damping, 1.0 - config.damping
+    damping, hold = _DAMPING, 1.0 - _DAMPING
     rmax = max(abs(r) for row in cache.values() for r in row)
     slip = 4e-16 / damping  # each step's rounding, summed over a geometric series
     tol = 1e-12 + (rmax + 1.0) * ((n ** (m - 1) + m * n + 8) * 2.0**-48 + 2 * (m - 1) * n * slip)
@@ -686,12 +684,13 @@ def _lock_in(
         return out
 
     def lock_in(
-        b: tuple[int, ...], x: list[float], it: int
+        b: tuple[int, ...], cols: list, k: int, it: int
     ) -> tuple[bool, list[list[float]] | None]:
         if b not in tables:
             tables[b] = table(b)
         if tables[b] is None:
             return False, None
+        x = [c[k] for player in cols for c in player]
         d = x[:]
         for j, bj in enumerate(b):
             d[j * n + bj] -= 1.0
@@ -714,15 +713,17 @@ def _lock_in(
         # So the first floor(skip) sweeps (one spare for rounding) need no
         # change; they run one component at a time, short of the give-up
         # sweep.  None of them could keep the start, so running past the cap
-        # changes nothing.
-        skip = math.log((_KEEP_MOVE + 2 * slip) / (damping * top)) / math.log(hold) if top else 0
+        # changes nothing.  At damping 1, hold is 0 and none is skipped.
+        skip = 0
+        if top and hold:
+            skip = math.log((_KEEP_MOVE + 2 * slip) / (damping * top)) / math.log(hold)
         skip = max(0, min(math.floor(skip), _GIVE_UP_SWEEP - it))
         for j, s in enumerate(steps):
             a = x[j]
             for _ in range(skip):
                 a = hold * a + s
             x[j] = a
-        for it in range(it + skip + 1, config.max_iter):
+        for it in range(it + skip + 1, _MAX_SWEEPS):
             y = [hold * a + s for a, s in zip(x, steps)]
             change = max(map(abs, map(sub, y, x)))
             x = y
@@ -735,8 +736,8 @@ def _lock_in(
     return lock_in
 
 
-def _can_settle(rule: GameRule, cache: dict, damping: float) -> bool:
-    """Whether damped best response at ``damping`` could keep any start.
+def _can_settle(rule: GameRule, cache: dict) -> bool:
+    """Whether damped best response could keep any start.
 
     A start is kept after a sweep that moves no component by 1e-10.  Let
     B_i be player i's float best set at that sweep and y_i uniform on B_i.
@@ -763,7 +764,7 @@ def _can_settle(rule: GameRule, cache: dict, damping: float) -> bool:
     """
     m, n = rule.m, rule.n
     rmax = max(abs(x) for row in cache.values() for x in row)
-    delta = _KEEP_MOVE + (_KEEP_MOVE + 1e-15) / damping
+    delta = _KEEP_MOVE + (_KEEP_MOVE + 1e-15) / _DAMPING
     margin = 1e-12 + 2.0 * (rmax * (m - 1) * n * delta + 1e-12)
     supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
     uniform = {s: tuple(1.0 / len(s) if o in s else 0.0 for o in range(n)) for s in supports}
@@ -810,7 +811,7 @@ def search_equilibria(
     start could be kept, and as best response is the last stage to draw
     from the seeded stream, skipping it changes no result.  Every
     candidate must pass the deviation-gap check at ``config.eps``;
-    survivors are deduplicated within sup distance ``config.dedup``.  The
+    survivors are deduplicated within sup distance ``_DEDUP``.  The
     list may be empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
@@ -823,7 +824,7 @@ def search_equilibria(
         for support in combinations(range(rule.n), size):
             for v in _symmetric_support_candidates(rule, support, cache, rng):
                 candidates.append((v,) * rule.m)
-    if _can_settle(rule, cache, config.damping):  # nothing reads rng after this
+    if _can_settle(rule, cache):  # nothing reads rng after this
         for vectors in _best_response_profiles(rule, cache, config, rng):
             candidates.append(tuple(tuple(v) for v in vectors))
 
@@ -831,7 +832,7 @@ def search_equilibria(
     seen: list[tuple[float, ...]] = []
     for cand in sorted(candidates):
         flat = tuple(p for v in cand for p in v)
-        if any(max(abs(a - b) for a, b in zip(flat, prev)) < config.dedup for prev in seen):
+        if any(max(abs(a - b) for a, b in zip(flat, prev)) < _DEDUP for prev in seen):
             continue
         total_fix = [tuple(p / sum(v) for p in v) for v in cand]
         profile = MixedProfile(
@@ -867,16 +868,18 @@ def classify_playability(
     rule: GameRule,
     equilibria: Sequence[MixedProfile],
     k: int = 1,
-    support_tol: float = 1e-9,
 ) -> PlayabilityReport:
-    """Classify playability relative to a list of verified equilibria."""
+    """Classify playability relative to a list of verified equilibria.
+    ``k`` is the number of players each object needs; it must be >= 1."""
+    if k < 1:
+        raise GameError(f"k must be >= 1, got {k}")
     per_eq_counts = []
     for prof in equilibria:
         _check_shape(rule, prof)
         counts = [0] * rule.n
         for v in prof.vectors:
             for o, p in enumerate(v):
-                if float(p) > support_tol:
+                if float(p) > _SUPPORT_TOL:
                     counts[o] += 1
         per_eq_counts.append(counts)
 

@@ -36,6 +36,11 @@ from .equilibrium import MixedProfile
 
 Number = float | Fraction
 
+# Float prefix sums closer than _MAJORIZE_TOL count as equal; payoffs
+# closer than _MERGE_TOL fall into one entropy atom.
+_MAJORIZE_TOL = 1e-12
+_MERGE_TOL = 1e-9
+
 
 class MajorizationRelation(enum.Enum):
     MAJORIZES = "majorizes"
@@ -44,20 +49,17 @@ class MajorizationRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def majorizes(
-    a: Sequence[Number], b: Sequence[Number], tol: float = 1e-12
-) -> MajorizationRelation:
+def majorizes(a: Sequence[Number], b: Sequence[Number]) -> MajorizationRelation:
     """Compare two equal-length vectors by descending prefix sums.
 
-    Totals must agree within ``tol`` for any verdict other than
-    INCOMPARABLE, and prefix sums closer than ``tol`` count as equal.
-    ``tol`` applies only when an entry is a float: exact inputs (ints and
-    fractions) compare exactly.
+    Totals must agree within ``_MAJORIZE_TOL`` for any verdict other than
+    INCOMPARABLE, and prefix sums closer than that count as equal.  The
+    tolerance applies only when an entry is a float: exact inputs (ints
+    and fractions) compare exactly.
     """
     if len(a) != len(b):
         raise GameError(f"length mismatch: {len(a)} vs {len(b)}")
-    if not any(isinstance(x, float) for x in (*a, *b)):
-        tol = 0
+    tol = _MAJORIZE_TOL if any(isinstance(x, float) for x in (*a, *b)) else 0
     sa = sorted(a, reverse=True)
     sb = sorted(b, reverse=True)
     if abs(sum(sa) - sum(sb)) > tol:
@@ -92,22 +94,20 @@ def ui_variance(values: Sequence[Number]) -> Number:
     return sum((x - mean) ** 2 for x in values) / n
 
 
-def ui_entropy(values: Sequence[Number], merge_tol: float = 1e-9) -> float:
+def ui_entropy(values: Sequence[Number]) -> float:
     """Shannon entropy of the payoff values as equal-weight atoms.
 
-    Values within ``merge_tol`` of the previous one (after sorting) fall
+    Values within ``_MERGE_TOL`` of the previous one (after sorting) fall
     into the same atom.  A constant vector is a single atom: entropy 0.
     """
     n = len(values)
     if n < 1:
         raise GameError("empty payoff vector")
-    if merge_tol < 0:
-        raise GameError("merge tolerance must be nonnegative")
     ordered = sorted(float(x) for x in values)
     sizes = []
     current = 1
     for prev, cur in zip(ordered, ordered[1:]):
-        if cur - prev <= merge_tol:
+        if cur - prev <= _MERGE_TOL:
             current += 1
         else:
             sizes.append(current)
@@ -187,7 +187,6 @@ def schur_compare(
     g1: GameRule,
     g2: GameRule,
     alphas: Sequence[float] = (0.25, 0.5, 0.75),
-    merge_tol: float = 1e-9,
 ) -> SchurComparison:
     """Compare uniform payoffs of two games and test whether each statistic
     agrees with the majorization direction.
@@ -206,7 +205,7 @@ def schur_compare(
 
     stats: dict[str, tuple[float, float]] = {
         "ui_variance": (float(ui_variance(f1)), float(ui_variance(f2))),
-        "ui_entropy": (ui_entropy(f1, merge_tol), ui_entropy(f2, merge_tol)),
+        "ui_entropy": (ui_entropy(f1), ui_entropy(f2)),
     }
     for a in alphas:
         stats[f"theil_{a:g}"] = (theil_alpha(f1, a), theil_alpha(f2, a))

@@ -143,6 +143,20 @@ class TestNash:
         assert code == EXIT_USAGE
         assert "eps" in err
 
+    def test_tolerance_follows_the_mode(self, capsys):
+        # With the symmetric solver's residual tolerance 1e-12, search mode
+        # verified 1 of these equilibria; the search's own 1e-9 verifies 7.
+        argv = ("nash", "--family", "odd-one-out", "--m", "4", "--mode", "search", "--seed", "1")
+        code, search, _ = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert search["config"]["tol"] == 1e-9
+        assert search["payload"]["equilibria_found"] == 7
+        _, strict, _ = run_json(capsys, *argv, "--tol", "1e-12")
+        assert strict["config"]["tol"] == 1e-12
+        assert strict["payload"]["equilibria_found"] == 1
+        _, symmetric, _ = run_json(capsys, "nash", "--family", "imbalanced3", "--m", "3")
+        assert symmetric["config"]["tol"] == 1e-12
+
     def test_search_deterministic_given_seed(self, capsys):
         argv = (
             "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",

@@ -152,7 +152,7 @@ class TestSymmetricBlowup:
         # subgame declares an all-way tie over two objects while an outer
         # player loses: no unique winning object exists
         g = imbalanced_rps3(3)
-        h = odd_one_out(3, labels=("a", "b"))
+        h = odd_one_out(3)
         combined = symmetric_blowup(g, "S", h)
         with pytest.raises(BlowupUnsupportedError):
             eval_outcome(combined, (0, 1, 1, 1))

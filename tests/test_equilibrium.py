@@ -19,6 +19,10 @@ start is kept the check must have allowed it.  Starts that ``_lock_in``
 finishes without payoffs must still match the scalar loop, and supports
 that ``_gaps_keep_a_sign`` skips must hold nothing the unguarded scan or
 Newton would find.
+
+Damping and the sweep cap are module constants, read at call time by the
+kernel and by both references; the oracle batches patch them, as
+``_patch_search`` does, to reach other dampings and early caps.
 """
 
 import hashlib
@@ -506,13 +510,13 @@ def scalar_best_response_profiles(
     m, n = rule.m, rule.n
     rows = _payoff_rows(rule, cache)
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
-    damping = config.damping
+    damping = equilibrium._DAMPING
     results = []
     for _ in range(config.starts):
         vectors = [_random_simplex(rng, n) for _ in range(m)]
         change = 1.0
         saved, mark = None, 1
-        for it in range(config.max_iter):
+        for it in range(equilibrium._MAX_SWEEPS):
             if vectors == saved:
                 break  # exact repeat: cycling forever, never converging
             if it == mark:
@@ -555,6 +559,7 @@ def _reference_payoffs(cache, rule, vectors, player):
 def reference_best_response_profiles(rule, cache, config, rng):
     """Damped best response over per-update opponent count distributions."""
     m, n = rule.m, rule.n
+    damping = equilibrium._DAMPING
     results = []
     for _ in range(config.starts):
         vectors = []
@@ -563,7 +568,7 @@ def reference_best_response_profiles(rule, cache, config, rng):
             tot = sum(raw)
             vectors.append([w / tot for w in raw])
         change = 1.0
-        for it in range(config.max_iter):
+        for it in range(equilibrium._MAX_SWEEPS):
             change = 0.0
             for i in range(m):
                 u = _reference_payoffs(cache, rule, vectors, i)
@@ -572,7 +577,7 @@ def reference_best_response_profiles(rule, cache, config, rng):
                 share = 1.0 / len(best)
                 for o in range(n):
                     target = share if o in best else 0.0
-                    new = (1.0 - config.damping) * vectors[i][o] + config.damping * target
+                    new = (1.0 - damping) * vectors[i][o] + damping * target
                     change = max(change, abs(new - vectors[i][o]))
                     vectors[i][o] = new
             if change < 1e-10:
@@ -582,6 +587,13 @@ def reference_best_response_profiles(rule, cache, config, rng):
         if change < 1e-10:
             results.append(vectors)
     return results
+
+
+def _patch_search(monkeypatch, damping, sweeps=equilibrium._MAX_SWEEPS):
+    """Run the kernel and the references at ``damping`` for at most
+    ``sweeps`` sweeps."""
+    monkeypatch.setattr(equilibrium, "_DAMPING", damping)
+    monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", sweeps)
 
 
 def _oracle_games():
@@ -636,10 +648,11 @@ class TestBestResponseOracle:
     @pytest.mark.parametrize("max_iter", [40, 400])
     @pytest.mark.parametrize("damping", [1.0, 0.3])
     @pytest.mark.parametrize("name", sorted(CYCLING_GAMES))
-    def test_cycling_games_equal_reference(self, name, damping, max_iter):
+    def test_cycling_games_equal_reference(self, name, damping, max_iter, monkeypatch):
+        _patch_search(monkeypatch, damping, max_iter)
         rule = CYCLING_GAMES[name]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=6, damping=damping, max_iter=max_iter)
+        config = SearchConfig(seed=0, starts=6)
         got = _best_response_profiles(rule, cache, config, random.Random(max_iter))
         want = reference_best_response_profiles(rule, cache, config, random.Random(max_iter))
         assert got == want
@@ -675,12 +688,13 @@ class TestLockstepOracle:
     @pytest.mark.parametrize(
         "name, damping, starts", [("table m=4 n=3 #0", 1.0, 40), ("table m=4 n=4 #0", 0.3, 10)]
     )
-    def test_kept_and_dropped_starts_mixed(self, name, damping, starts):
+    def test_kept_and_dropped_starts_mixed(self, name, damping, starts, monkeypatch):
         # Starts that converge share the batch with starts that repeat
         # (the first game) or give up (the second).
+        _patch_search(monkeypatch, damping)
         rule = ORACLE_GAMES[name]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=starts, damping=damping)
+        config = SearchConfig(seed=0, starts=starts)
         seed = sum(map(ord, name))
         got = _best_response_profiles(rule, cache, config, random.Random(seed))
         want = scalar_best_response_profiles(rule, cache, config, random.Random(seed))
@@ -690,10 +704,11 @@ class TestLockstepOracle:
     @pytest.mark.parametrize("max_iter", [1, 2, 10_000])
     @pytest.mark.parametrize("starts", [0, 1, 7])
     @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
-    def test_edges_equal_scalar_loop(self, name, starts, max_iter, damping):
+    def test_edges_equal_scalar_loop(self, name, starts, max_iter, damping, monkeypatch):
+        _patch_search(monkeypatch, damping, max_iter)
         rule = EDGE_GAMES[name]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=starts, max_iter=max_iter, damping=damping)
+        config = SearchConfig(seed=0, starts=starts)
         got = _best_response_profiles(rule, cache, config, random.Random(starts))
         want = scalar_best_response_profiles(rule, cache, config, random.Random(starts))
         assert got == want
@@ -789,25 +804,28 @@ class TestSettleOracle:
 
     @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3])
     @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
-    def test_true_wherever_a_start_is_kept(self, name, damping):
+    def test_true_wherever_a_start_is_kept(self, name, damping, monkeypatch):
+        _patch_search(monkeypatch, damping)
         rule = SETTLE_ORACLE_GAMES[name]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=6, damping=damping)
+        config = SearchConfig(seed=0, starts=6)
         kept = any(
             scalar_best_response_profiles(rule, cache, config, random.Random(seed))
             for seed in range(3)
         )
-        assert _can_settle(rule, cache, damping) or not kept
+        assert _can_settle(rule, cache) or not kept
         if name in NEVER_SETTLE:
-            assert not _can_settle(rule, cache, damping)
+            assert not _can_settle(rule, cache)
 
-    def test_slack_grows_as_damping_shrinks(self):
+    def test_slack_grows_as_damping_shrinks(self, monkeypatch):
         # Every support profile of imbalanced3 m=3 misses the condition by
         # an exact 2/3; the slack 2E reaches that near damping 3.6e-9.
         rule = imbalanced_rps3(3)
         cache = _pure_payoff_cache(rule)
-        assert not _can_settle(rule, cache, 1e-8)
-        assert _can_settle(rule, cache, 1e-9)
+        _patch_search(monkeypatch, 1e-8)
+        assert not _can_settle(rule, cache)
+        _patch_search(monkeypatch, 1e-9)
+        assert _can_settle(rule, cache)
 
 
 def _count_lock_ins(monkeypatch) -> list[int]:
@@ -836,10 +854,11 @@ class TestLockInOracle:
 
     @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
     @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
-    def test_profiles_equal_scalar_loop(self, name, damping):
+    def test_profiles_equal_scalar_loop(self, name, damping, monkeypatch):
+        _patch_search(monkeypatch, damping)
         rule = SETTLE_ORACLE_GAMES[name]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=10, damping=damping)
+        config = SearchConfig(seed=0, starts=10)
         seed = sum(map(ord, name))
         got = _best_response_profiles(rule, cache, config, random.Random(seed))
         want = scalar_best_response_profiles(rule, cache, config, random.Random(seed))
@@ -847,20 +866,30 @@ class TestLockInOracle:
 
     @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
     def test_lock_in_fires_across_the_batch(self, damping, monkeypatch):
+        _patch_search(monkeypatch, damping)
         count = _count_lock_ins(monkeypatch)
         by_players = {}
         for name, rule in SETTLE_ORACLE_GAMES.items():
             if not name.startswith(("random", "maximal3", "odd-one-out")):
                 continue
             before = count[0]
-            config = SearchConfig(seed=0, starts=10, damping=damping)
+            config = SearchConfig(seed=0, starts=10)
             seed = sum(map(ord, name))
             _best_response_profiles(rule, _pure_payoff_cache(rule), config, random.Random(seed))
             by_players[rule.m] = by_players.get(rule.m, 0) + count[0] - before
-        if damping == 1.0:  # hold = 0: one sweep reaches the pure profile anyway
-            assert count[0] == 0
-        else:
-            assert all(by_players[m] > 10 for m in (2, 3, 4)), by_players
+        assert all(by_players[m] > 10 for m in (2, 3, 4)), by_players
+
+    def test_damping_one_locks_in_off_the_pure_profile(self, monkeypatch):
+        # At damping 1 (hold 0) a start whose last best sets were tied sits
+        # off its pure profile and can still lock in; none of its remaining
+        # sweeps may then be skipped.
+        _patch_search(monkeypatch, 1.0)
+        rule = random_table_rule(random.Random(42), 3, 4)
+        cache = _pure_payoff_cache(rule)
+        config = SearchConfig(seed=0, starts=10)
+        got = _best_response_profiles(rule, cache, config, random.Random(42))
+        want = scalar_best_response_profiles(rule, cache, config, random.Random(42))
+        assert got == want
 
     @pytest.mark.parametrize("name", ["maximal3 m=3", "odd-one-out m=4"])
     def test_locked_starts_skip_payoffs(self, name, br_updates):
@@ -884,9 +913,10 @@ class TestLockInOracle:
             (1, 2, 0): (1.0, -1.0, 2.35), (2, 0, 1): (-3.0, 1.0, -1.0),
             (2, 1, 0): (0.5, -3.0, 2.0), (3, 0, 0): (2.0, 1.0, -3.0),
         }
+        _patch_search(monkeypatch, 0.3, 400)
         count = _count_lock_ins(monkeypatch)
         rule = ORACLE_GAMES["table m=4 n=3 #0"]  # only its m and n are read
-        config = SearchConfig(seed=0, starts=30, damping=0.3, max_iter=400)
+        config = SearchConfig(seed=0, starts=30)
         got = _best_response_profiles(rule, rows, config, random.Random(383))
         want = scalar_best_response_profiles(rule, rows, config, random.Random(383))
         assert got == want and count[0] > 0
@@ -902,10 +932,11 @@ class TestLockInOracle:
         # Locked starts run out of sweeps at the cap or, at damping 0.01,
         # still move 1e-4 after sweep 300 and are given up, as in the
         # scalar loop.
+        _patch_search(monkeypatch, damping, max_iter)
         count = _count_lock_ins(monkeypatch)
         rule = ORACLE_GAMES["maximal3 m=3"]
         cache = _pure_payoff_cache(rule)
-        config = SearchConfig(seed=0, starts=30, damping=damping, max_iter=max_iter)
+        config = SearchConfig(seed=0, starts=30)
         got = _best_response_profiles(rule, cache, config, random.Random(max_iter))
         want = scalar_best_response_profiles(rule, cache, config, random.Random(max_iter))
         assert got == want and len(got) == kept and count[0] > 0
@@ -984,14 +1015,8 @@ class TestSearchConfig:
         "field, value",
         [
             ("starts", -1),
-            ("max_iter", 0),
-            ("damping", 0.0),
-            ("damping", 1.5),
-            ("damping", -0.5),
             ("eps", 0.0),
             ("eps", -1e-9),
-            ("dedup", 0.0),
-            ("dedup", -1.0),
         ],
     )
     def test_bad_field_rejected(self, field, value):
@@ -999,8 +1024,8 @@ class TestSearchConfig:
             SearchConfig(seed=1, **{field: value})
 
     def test_edges_accepted(self):
-        config = SearchConfig(seed=1, starts=0, max_iter=1, damping=1.0)
-        assert config.starts == 0 and config.damping == 1.0
+        config = SearchConfig(seed=1, starts=0)
+        assert config.starts == 0
 
     def test_no_starts_still_searches_symmetric_supports(self):
         found = search_equilibria(imbalanced_rps3(2), SearchConfig(seed=5, starts=0))
@@ -1045,6 +1070,14 @@ class TestPlayability:
         found = search_equilibria(rule, SearchConfig(seed=4, starts=40))
         report = classify_playability(rule, [p for p, _ in found], k=1)
         assert found and not report.playable
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_k_rejected(self, k):
+        # Once k_playable=True beside playable=False for the pure-P profile.
+        rule = imbalanced_rps3(3)
+        profile = symmetric_profile((0.0, 1.0, 0.0), 3)
+        with pytest.raises(GameError, match=f"k must be >= 1, got {k}"):
+            classify_playability(rule, [profile], k=k)
 
     def test_empty_list_reports_nothing(self):
         report = classify_playability(imbalanced_rps3(3), [], k=1)
