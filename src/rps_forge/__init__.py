@@ -10,17 +10,14 @@ from .core import (
     enumerate_multisets,
     eval_outcome,
     payoff_vector,
-    tabulate,
     tie_payoff,
     uniform_expected_payoffs,
 )
 from .construct import (
     BlowupUnsupportedError,
-    LevelMap,
     imbalanced_rps,
     imbalanced_rps3,
     iterated_blowup,
-    level_map_of,
     maximal_rps3,
     odd_one_out,
     relabel,

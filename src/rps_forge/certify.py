@@ -34,6 +34,11 @@ from .intervals import Interval, Poly2, poly_mul, poly_sub
 
 DEFAULT_DELTA = Fraction(1, 10**6)
 MAX_DEPTH_LIMIT = 60
+# A certificate run gives up, UNDECIDED, after _MAX_BOXES r-intervals or
+# once _UNDECIDED_CAP of them survive at the depth limit; it keeps that
+# many surviving intervals as its sample.
+_MAX_BOXES = 2_000_000
+_UNDECIDED_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,8 @@ class InfeasibilityCertificate:
     depth_limit: int
     millis: float
     undecided_count: int
-    undecided_sample: tuple[Interval, ...] = ()
-    note: str = ""
+    undecided_sample: tuple[Interval, ...]
+    note: str
 
     @property
     def proved_empty(self) -> bool:
@@ -190,8 +195,6 @@ def infeasibility_certificate(
     t: int,
     delta: Fraction | float = DEFAULT_DELTA,
     max_depth: int = 40,
-    max_boxes: int = 2_000_000,
-    undecided_cap: int = 64,
 ) -> InfeasibilityCertificate:
     """Prove (or fail to prove) that the scenario system has no solution
     with r in [0, 1], for any s.
@@ -207,10 +210,6 @@ def infeasibility_certificate(
         raise ScenarioError(f"delta must lie in (0, 0.01], got {delta}")
     if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
         raise ScenarioError(f"max_depth must lie in 1..{MAX_DEPTH_LIMIT}")
-    if max_boxes < 1:
-        raise ScenarioError(f"max_boxes must be >= 1, got {max_boxes}")
-    if undecided_cap < 1:
-        raise ScenarioError(f"undecided_cap must be >= 1, got {undecided_cap}")
     constraints = eliminated_system(k, t)
 
     start = time.perf_counter()
@@ -226,10 +225,10 @@ def infeasibility_certificate(
         box, depth = stack.pop()
         boxes += 1
         deepest = max(deepest, depth)
-        if boxes > max_boxes:
-            note = f"box budget {max_boxes} exhausted"
+        if boxes > _MAX_BOXES:
+            note = f"box budget {_MAX_BOXES} exhausted"
             undecided_count += 1 + len(stack)
-            if len(undecided) < undecided_cap:
+            if len(undecided) < _UNDECIDED_CAP:
                 undecided.append(box)
             break
         hit = next((c.name for c in constraints if c.pruned_on(box)), None)
@@ -238,10 +237,10 @@ def infeasibility_certificate(
             continue
         if depth >= max_depth:
             undecided_count += 1
-            if len(undecided) < undecided_cap:
+            if len(undecided) < _UNDECIDED_CAP:
                 undecided.append(box)
-            if undecided_count >= undecided_cap:
-                note = note or f"stopped after {undecided_cap} surviving boxes"
+            if undecided_count >= _UNDECIDED_CAP:
+                note = note or f"stopped after {_UNDECIDED_CAP} surviving boxes"
                 undecided_count += len(stack)
                 break
             continue

@@ -17,8 +17,6 @@ Families
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import GameError, GameRule, Outcome, all_tie, eval_outcome, win
 
 
@@ -163,24 +161,6 @@ def symmetric_blowup(g: GameRule, at: str | int, h: GameRule) -> GameRule:
     )
 
 
-@dataclass(frozen=True)
-class LevelMap:
-    """Depth of each object in an iterated composition; the leaf S sits at
-    the deepest level alongside that level's R and P."""
-
-    level: dict[str, int]
-    depth: int
-
-
-def level_map_of(rule: GameRule) -> LevelMap:
-    if rule.levels is None:
-        raise GameError("rule carries no level metadata")
-    return LevelMap(
-        level=dict(zip(rule.labels, rule.levels)),
-        depth=max(rule.levels),
-    )
-
-
 def imbalanced_rps(m: int, k: int) -> GameRule:
     """The imbalanced game on 2k+1 objects: R1,P1,...,Rk,Pk,S.
 
@@ -232,6 +212,8 @@ def imbalanced_rps(m: int, k: int) -> GameRule:
 def iterated_blowup(m: int, k: int) -> GameRule:
     """The same game as ``imbalanced_rps(m, k)`` built by actual k-fold
     composition; primarily an oracle for the direct rule."""
+    if k < 1:
+        raise GameError(f"depth must be at least 1, got {k}")
     game = imbalanced_rps3(m, labels=("R1", "P1", "S"))
     for lvl in range(2, k + 1):
         sub = imbalanced_rps3(m, labels=(f"R{lvl}", f"P{lvl}", "S"))

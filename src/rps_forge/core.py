@@ -12,7 +12,7 @@ at reporting boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -224,7 +224,7 @@ def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:
 class TableRule:
     """Winner function backed by an explicit counts -> Outcome table."""
 
-    table: dict[tuple[int, ...], Outcome] = field(default_factory=dict)
+    table: dict[tuple[int, ...], Outcome]
 
     def __call__(self, counts: tuple[int, ...]) -> Outcome:
         try:
@@ -232,16 +232,3 @@ class TableRule:
         except KeyError:
             raise GameError(f"no table entry for multiset {counts}") from None
 
-
-def tabulate(rule: GameRule) -> GameRule:
-    """Materialize a procedural rule into an explicit table of its
-    full-size multisets (size ``m``), as the on-disk game format holds."""
-    table = {c: eval_outcome(rule, c) for c, _ in enumerate_multisets(rule.n, rule.m)}
-    return GameRule(
-        m=rule.m,
-        labels=rule.labels,
-        winner_fn=TableRule(table),
-        construction=rule.construction,
-        levels=rule.levels,
-        table_sizes=frozenset({rule.m}),
-    )

@@ -285,7 +285,7 @@ def solve_symmetric_rps3(m: int, tol: float = 1e-12) -> SymmetricRps3Equilibrium
     """
     if m < 2:
         raise GameError(f"need at least two players, got {m}")
-    if tol <= 0:
+    if not tol > 0:  # NaN too: every residual test against it would pass
         raise GameError("tolerance must be positive")
 
     def outer(r: float) -> float | None:
@@ -550,7 +550,6 @@ def _best_response_profiles(
     cols = [[[s[i][o] for s in starts] for o in range(n)] for i in range(m)]
     ids, go = list(range(config.starts)), [True] * config.starts
     saved, mark = [()] * config.starts, 1  # no state equals (): nothing saved yet
-    due, wait = [0] * config.starts, [1] * config.starts  # the sweep of the next lock-in test
     kept = {}
     for it in range(_MAX_SWEEPS):
         # Drop finished starts and starts back at their saved state, which
@@ -558,9 +557,7 @@ def _best_response_profiles(
         state = list(zip(*chain.from_iterable(cols)))
         go = list(map(and_, go, map(ne, state, saved)))
         if not all(go):
-            ids, state, saved, due, wait = (
-                list(compress(x, go)) for x in (ids, state, saved, due, wait)
-            )
+            ids, state, saved = (list(compress(x, go)) for x in (ids, state, saved))
             cols = [[list(compress(c, go)) for c in player] for player in cols]
         if not ids:
             break
@@ -605,15 +602,14 @@ def _best_response_profiles(
             for d, c in zip(done, change)
         ]
         # Finish without payoffs each start whose best sets provably stay at
-        # one object each, its first best one; one failing the test waits
-        # twice as long for the next.
+        # one object each, its first best one.  The test runs at sweeps 0,
+        # 1, 3, 7, ...: each wait is twice the last.
+        if it & (it + 1):
+            continue
         for k in compress(range(len(ids)), go):
-            if due[k] > it:
-                continue
             b = tuple(bs[k].index(True) for bs in best_sets)
             locked, profile = lock_in(b, cols, k, it)
             if not locked:
-                due[k], wait[k] = it + wait[k], 2 * wait[k]
                 continue
             go[k] = False
             if profile is not None:

@@ -278,8 +278,9 @@ class TestCertificates:
                 )
         assert feasible_relaxations >= 1  # the mutation set must bite
 
-    def test_interval_budget_yields_undecided(self):
-        cert = infeasibility_certificate(12, 6, max_boxes=2)
+    def test_interval_budget_yields_undecided(self, monkeypatch):
+        monkeypatch.setattr(certify, "_MAX_BOXES", 2)
+        cert = infeasibility_certificate(12, 6)
         assert cert.verdict is Verdict.UNDECIDED
         assert cert.note == "box budget 2 exhausted"
         assert cert.undecided_count == 1
@@ -287,7 +288,8 @@ class TestCertificates:
 
     def test_undecided_cap_counts_intervals_left_on_the_stack(self, monkeypatch):
         relaxed(monkeypatch, "candidate_indifferent_S_P")
-        cert = infeasibility_certificate(2, 0, max_depth=12, undecided_cap=4)
+        monkeypatch.setattr(certify, "_UNDECIDED_CAP", 4)
+        cert = infeasibility_certificate(2, 0, max_depth=12)
         assert "stopped after 4" in cert.note
         assert len(cert.undecided_sample) == 4
         assert cert.undecided_count > 4
@@ -311,10 +313,11 @@ class TestCertificates:
             poly._memo = None
             return kernel(poly, r, s, bits)
 
+        monkeypatch.setattr(certify, "_UNDECIDED_CAP", 10**6)
         runs = []
         for patched in (watching, forgetting):
             monkeypatch.setattr(Poly2, "eval_box", patched)
-            runs.append(infeasibility_certificate(k, t, max_depth=depth, undecided_cap=10**6))
+            runs.append(infeasibility_certificate(k, t, max_depth=depth))
         remembering, forgetful = (dataclasses.replace(c, millis=0.0) for c in runs)
         assert remembering.verdict is Verdict.UNDECIDED and remembering.boxes > 2000
         assert 2 <= max(sizes) <= depth + 1 <= MEMO_DEPTHS
@@ -366,24 +369,14 @@ class TestCertificates:
         with pytest.raises(ScenarioError):
             infeasibility_certificate(2, 0, max_depth=0)
 
-    @pytest.mark.parametrize(
-        "budget, message",
-        [
-            ({"max_boxes": 0}, "max_boxes must be >= 1, got 0"),
-            ({"max_boxes": -5}, "max_boxes must be >= 1, got -5"),
-            ({"undecided_cap": 0}, "undecided_cap must be >= 1, got 0"),
-            ({"undecided_cap": -1}, "undecided_cap must be >= 1, got -1"),
-        ],
-    )
-    def test_budget_guards(self, budget, message):
-        with pytest.raises(ScenarioError, match=message):
-            infeasibility_certificate(12, 6, **budget)
-
-    def test_smallest_budgets_run(self):
-        cert = infeasibility_certificate(12, 6, max_boxes=1)
+    def test_smallest_budgets_run(self, monkeypatch):
+        monkeypatch.setattr(certify, "_MAX_BOXES", 1)
+        cert = infeasibility_certificate(12, 6)
         assert cert.verdict is Verdict.UNDECIDED
         assert (cert.boxes, cert.note) == (2, "box budget 1 exhausted")
-        cert = infeasibility_certificate(12, 6, max_depth=1, undecided_cap=1)
+        monkeypatch.undo()
+        monkeypatch.setattr(certify, "_UNDECIDED_CAP", 1)
+        cert = infeasibility_certificate(12, 6, max_depth=1)
         assert cert.verdict is Verdict.UNDECIDED
         assert cert.note == "stopped after 1 surviving boxes"
         assert len(cert.undecided_sample) == 1

@@ -63,6 +63,15 @@ class TestBuild:
         body = lambda p: [l for l in p.read_text().splitlines() if l.startswith("counts=")]
         assert body(a) == body(b)
 
+    def test_build_blowup_rejects_nonpositive_depth(self, capsys, tmp_path):
+        path = tmp_path / "g.rps"
+        code, out, err = run_cli(
+            capsys, "build", "--family", "blowup", "--m", "3", "--k", "0", "--out", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert "depth must be at least 1, got 0" in err and not out
+        assert not path.exists()
+
     def test_build_odd_one_out(self, capsys, tmp_path):
         path = tmp_path / "o.rps"
         code, env, _ = run_json(
@@ -142,6 +151,13 @@ class TestNash:
         )
         assert code == EXIT_USAGE
         assert "eps" in err
+
+    def test_symmetric_rejects_nan_tolerance(self, capsys):
+        code, out, err = run_cli(
+            capsys, "nash", "--family", "imbalanced3", "--m", "10", "--tol", "nan"
+        )
+        assert code == EXIT_USAGE
+        assert "tolerance must be positive" in err and not out
 
     def test_tolerance_follows_the_mode(self, capsys):
         # With the symmetric solver's residual tolerance 1e-12, search mode

@@ -7,13 +7,13 @@ from rps_forge.construct import (
     imbalanced_rps,
     imbalanced_rps3,
     iterated_blowup,
-    level_map_of,
     maximal_rps3,
     odd_one_out,
     relabel,
     symmetric_blowup,
 )
 from rps_forge.core import GameError, enumerate_multisets, eval_outcome, uniform_expected_payoffs
+from rps_forge.gamefile import dump_game, parse_game
 from rps_forge.imbalance import MajorizationRelation, majorizes
 
 
@@ -86,9 +86,7 @@ class TestSymmetricBlowup:
             symmetric_blowup(imbalanced_rps3(3), "Q", odd_one_out(3))
 
     def test_subgame_must_cover_group_sizes(self):
-        from rps_forge.core import tabulate
-
-        h = tabulate(imbalanced_rps3(3, labels=("R2", "P2", "S2")))  # size-3 only
+        h = parse_game(dump_game(imbalanced_rps3(3, labels=("R2", "P2", "S2"))))  # size-3 only
         with pytest.raises(GameError):
             symmetric_blowup(imbalanced_rps3(3), "S", h)
 
@@ -161,9 +159,8 @@ class TestSymmetricBlowup:
 class TestIteratedFamily:
     def test_level_metadata(self):
         rule = imbalanced_rps(4, 3)
-        lm = level_map_of(rule)
-        assert lm.depth == 3
-        assert lm.level == {
+        assert max(rule.levels) == 3
+        assert dict(zip(rule.labels, rule.levels)) == {
             "R1": 1, "P1": 1, "R2": 2, "P2": 2, "R3": 3, "P3": 3, "S": 3,
         }
         assert rule.n == 2 * 3 + 1
@@ -185,6 +182,12 @@ class TestIteratedFamily:
         for size in range(1, m + 1):
             for counts, _ in enumerate_multisets(direct.n, size):
                 assert eval_outcome(direct, counts) == eval_outcome(composed, counts)
+
+    @pytest.mark.parametrize("build", [imbalanced_rps, iterated_blowup])
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_depth_rejected(self, build, k):
+        with pytest.raises(GameError, match=f"depth must be at least 1, got {k}"):
+            build(3, k)
 
     def test_right_fold_composition_agrees(self):
         # composing inner-first instead of outer-first gives the same game

@@ -17,7 +17,6 @@ from rps_forge.core import (
     enumerate_multisets,
     eval_outcome,
     payoff_vector,
-    tabulate,
     tie_payoff,
     uniform_expected_payoffs,
     win,
@@ -94,7 +93,11 @@ class TestEvalOutcome:
             (imbalanced_rps3(3), (2, -1, 1), "negative count in (2, -1, 1)"),
             (imbalanced_rps3(3), [0, 0, 0], "empty choice multiset"),
             (imbalanced_rps3(3), (2, 2, 2), "6 choices exceed the 3-player game"),
-            (tabulate(imbalanced_rps3(4)), (1, 1, 0), "rule has no table entries for multisets of size 2"),
+            (
+                parse_game(dump_game(imbalanced_rps3(4))),
+                (1, 1, 0),
+                "rule has no table entries for multisets of size 2",
+            ),
             (
                 GameRule(m=3, labels=("x", "y", "z"), winner_fn=lambda counts: win(0, 1)),
                 (0, 1, 1),
@@ -359,7 +362,6 @@ class TestUniformExpectedPayoffs:
     def test_matches_per_object_reference_on_tables(self):
         rule = imbalanced_rps(5, 2)
         expected = per_object_uniform_payoffs(rule)
-        assert uniform_expected_payoffs(tabulate(rule)) == expected
         assert uniform_expected_payoffs(parse_game(dump_game(rule))) == expected
 
     def test_one_player_pays_nothing(self):
@@ -406,12 +408,12 @@ class TestWinnerInChoices:
 class TestTabulate:
     def test_table_matches_procedural(self):
         rule = imbalanced_rps3(4)
-        table = tabulate(rule)
+        table = parse_game(dump_game(rule))
         for counts, _ in enumerate_multisets(3, 4):
             assert eval_outcome(table, counts) == eval_outcome(rule, counts)
 
     def test_table_rejects_untabulated_size(self):
-        table = tabulate(imbalanced_rps3(4))
+        table = parse_game(dump_game(imbalanced_rps3(4)))
         with pytest.raises(GameError):
             eval_outcome(table, (1, 1, 0))
 

@@ -1,8 +1,13 @@
 """rps-forge has no runtime dependencies: the package declares none, and
 every absolute import in its modules is the package itself or part of
-the standard library."""
+the standard library.  Its public surface carries no more defaulted
+parameters than it did when each option no caller varied became a
+constant."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -44,3 +49,59 @@ def test_the_import_scan_sees_third_party_modules(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import json\ndef f():\n    from numpy.linalg import solve\nfrom . import core\n")
     assert absolute_imports(module) == {"json", "numpy"}
+
+
+# Options that every caller leaves at one value become module constants,
+# so the defaulted public parameters only ever fall.  Lower this bound when
+# one goes; never raise it to let one in.
+MAX_DEFAULTED_PUBLIC_PARAMETERS = 19
+
+
+def defaulted_public_parameters() -> list[str]:
+    """Each defaulted parameter of a public function or of a public method
+    of a public class, and each defaulted field of a public dataclass,
+    over the names each module of the package defines, the CLI aside."""
+    found = []
+
+    def defaulted(owner: str, fn) -> None:
+        found.extend(
+            f"{owner}({p.name})"
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty
+        )
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"rps_forge.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                defaulted(name, obj)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found.extend(
+                        f"{name}.{f.name}"
+                        for f in dataclasses.fields(obj)
+                        if f.default is not dataclasses.MISSING
+                        or f.default_factory is not dataclasses.MISSING
+                    )
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        defaulted(f"{name}.{attr}", member)
+    return found
+
+
+def test_defaulted_public_parameters_do_not_grow():
+    found = defaulted_public_parameters()
+    assert len(found) <= MAX_DEFAULTED_PUBLIC_PARAMETERS, found
+
+
+def test_the_parameter_count_sees_every_kind():
+    found = defaulted_public_parameters()
+    # a function's, a public method's and a dataclass field's default
+    assert {"solve_symmetric_rps3(tol)", "Poly2.eval_box(bits)", "SearchConfig.eps"} <= set(found)
+    # private helpers, imported names and the CLI are left out
+    assert not any(name.startswith("_") for name in found)
+    assert "main(argv)" not in found

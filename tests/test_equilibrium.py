@@ -288,6 +288,8 @@ class TestSymmetricSolver:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(GameError):
             solve_symmetric_rps3(3, tol=0.0)
+        with pytest.raises(GameError):
+            solve_symmetric_rps3(3, tol=float("nan"))
 
     @pytest.mark.parametrize(
         "m, want",
