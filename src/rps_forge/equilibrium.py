@@ -42,6 +42,12 @@ _DEDUP = 1e-6
 
 _SUPPORT_TOL = 1e-9  # a player plays an object when its probability exceeds this
 
+# Newton on a symmetric support runs from the centre and _NEWTON_STARTS
+# random points; _gaps_keep_a_sign halves a support's face at most
+# _EXCLUSION_DEPTH times along any path before it gives up.
+_NEWTON_STARTS = 24
+_EXCLUSION_DEPTH = 6
+
 
 class SolverError(RuntimeError):
     """No interior equilibrium could be bracketed."""
@@ -285,8 +291,8 @@ def solve_symmetric_rps3(m: int, tol: float = 1e-12) -> SymmetricRps3Equilibrium
     """
     if m < 2:
         raise GameError(f"need at least two players, got {m}")
-    if not tol > 0:  # NaN too: every residual test against it would pass
-        raise GameError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):  # NaN and inf pass every residual test
+        raise GameError(f"tolerance must be positive and finite, got {tol}")
 
     def outer(r: float) -> float | None:
         p = _inner_p_root(m, r)
@@ -361,8 +367,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 0:
             raise GameError(f"starts must be >= 0, got {self.starts}")
-        if not self.eps > 0:
-            raise GameError(f"eps must be positive, got {self.eps}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):  # inf verifies any candidate
+            raise GameError(f"eps must be positive and finite, got {self.eps}")
 
 
 def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, ...], tuple[float, ...]]:
@@ -412,6 +418,60 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
     return [mat[i][d] / mat[i][i] for i in range(d)]
 
 
+def _face_coefficients(
+    rule: GameRule, support: tuple[int, ...], cache: dict
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """The payoff differences on ``support``'s face as integer Bernstein
+    coefficients, and the common denominator they are taken over.
+
+    Entry a, a_k being the opponents on support[k], holds the denominator
+    times D_c for the opponent counts c that a spells out, D_c[k] =
+    row_c[s_k] - row_c[last].  Every float row is a dyadic rational, so
+    this is exact."""
+    last = support[-1]
+    exact = {
+        tuple(counts[o] for o in support): [
+            Fraction(row[o]) - Fraction(row[last]) for o in support[:-1]
+        ]
+        for counts, row in cache.items()
+        if sum(counts[o] for o in support) == rule.m - 1
+    }
+    scale = math.lcm(*(d.denominator for ds in exact.values() for d in ds))
+    return {a: tuple(int(d * scale) for d in ds) for a, ds in exact.items()}, scale
+
+
+def _face_halves(
+    coeffs: dict[tuple[int, ...], tuple[int, ...]], i: int, j: int, degree: int
+) -> tuple[dict, dict]:
+    """Halve a cell's edge from vertex i to vertex j: the coefficients of
+    the half whose vertex j moves to the midpoint, then of the half whose
+    vertex i does, both times 2^degree.
+
+    The multi-indices that differ only in entries i and j form a fiber,
+    a univariate Bernstein form in the share of vertex j; one de Casteljau
+    step at 1/2 splits it.  The triangle adds pairs without halving them,
+    so its row t is 2^t times de Casteljau's, and the ends of row t are
+    shifted by degree - t onto the common 2^degree."""
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    second: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in coeffs:
+        if a[j]:
+            continue
+        top = a[i]
+        fiber = []
+        for t in range(top + 1):
+            b = list(a)
+            b[i], b[j] = top - t, t
+            fiber.append(tuple(b))
+        row = [coeffs[b] for b in fiber]
+        for t in range(top + 1):
+            if t:
+                row = [tuple(map(add, x, y)) for x, y in zip(row, row[1:])]
+            first[fiber[t]] = tuple(v << (degree - t) for v in row[0])
+            second[fiber[top - t]] = tuple(v << (degree - t) for v in row[-1])
+    return first, second
+
+
 def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> bool:
     """Whether the payoff differences on ``support`` provably never all
     come within 1e-12 of zero, so neither the scan nor Newton can return
@@ -420,23 +480,56 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> 
     On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) over opponent
     counts c, D_c[k] = row_c[s_k] - row_c[last], with the Bernstein basis
     B_c >= 0 summing to 1.  If sigma . D_c > |sigma|_1 (1e-12 + err) for
-    all c, so does sigma . f, hence max |f_k| > 1e-12 + err, ``err``
-    bounding the float error of ``diffs`` (for m <= 4, n <= 5).
+    all c, for some sigma in {-1, 0, 1}^(size - 1), so does sigma . f,
+    hence max |f_k| > 1e-12 + err, ``err`` bounding the float error of
+    ``diffs`` (for m <= 4, n <= 5).
+
+    Where the whole face fails that test, its longest edge is halved
+    (``_face_halves``), and so on: on each cell, f has a Bernstein form of
+    the same degree in the cell's own barycentric coordinates, and the same
+    test on its coefficients gives the same bound at every point of the
+    cell.  Coefficients are exact integers, the face's times its common
+    denominator and 2^(m - 1) per halving, and the margin is scaled alike.
+    The support is excluded when every cell passes; the first cell that
+    fails after _EXCLUSION_DEPTH halvings ends the proof with False.  The
+    cells cover the face.  Every point the scan or Newton evaluates,
+    rescaled to sum 1, lies on the face and so in a proved cell.  f is
+    homogeneous of degree m - 1 in the barycentric coordinates, so the
+    rescaling changes it by a factor within rounding of 1, which ``err``
+    covers with the rest of the float error of ``diffs``.  So no point
+    they look at is a root.
     """
-    off = [o for o in range(rule.n) if o not in support]
-    last = support[-1]
-    gaps = [
-        [row[o] - row[last] for o in support[:-1]]
-        for counts, row in cache.items()
-        if not any(counts[o] for o in off)
-    ]
+    size, degree = len(support), rule.m - 1
+    coeffs, scale = _face_coefficients(rule, support, cache)
     rmax = max(abs(r) for row in cache.values() for r in row)
-    err = (len(gaps) + rule.m * len(support) + 4) * rmax * 2.0**-48
-    for sigma in product((-1, 0, 1), repeat=len(support) - 1):
-        norm = sum(map(abs, sigma))
-        if norm and min(sum(map(mul, sigma, g)) for g in gaps) > norm * (1e-12 + err):
-            return True
-    return False
+    err = (len(coeffs) + rule.m * size + 4) * rmax * 2.0**-48
+    margin = Fraction(1e-12 + err) * scale
+    signs = [(s, sum(map(abs, s))) for s in product((-1, 0, 1), repeat=size - 1) if any(s)]
+    edges = list(combinations(range(size), 2))
+
+    def keeps_a_sign(cell: dict[tuple[int, ...], tuple[int, ...]], bound: Fraction) -> bool:
+        for s, norm in signs:
+            limit = math.floor(norm * bound)
+            if all(sum(map(mul, s, d)) > limit for d in cell.values()):
+                return True
+        return False
+
+    # (halvings, vertices in the face's barycentric coordinates times
+    # 2^halvings, coefficients), depth first
+    cells = [(0, [tuple(int(k == v) for k in range(size)) for v in range(size)], coeffs)]
+    while cells:
+        depth, verts, coeffs = cells.pop()
+        if keeps_a_sign(coeffs, margin * (1 << degree * depth)):
+            continue
+        if depth >= _EXCLUSION_DEPTH:
+            return False
+        i, j = max(edges, key=lambda e: sum((x - y) ** 2 for x, y in zip(verts[e[0]], verts[e[1]])))
+        mid = tuple(map(add, verts[i], verts[j]))
+        verts = [tuple(2 * x for x in v) for v in verts]
+        first, second = _face_halves(coeffs, i, j, degree)
+        cells.append((depth + 1, verts[:j] + [mid] + verts[j + 1 :], first))
+        cells.append((depth + 1, verts[:i] + [mid] + verts[i + 1 :], second))
+    return True
 
 
 def _symmetric_support_candidates(
@@ -454,7 +547,7 @@ def _symmetric_support_candidates(
     if size == 1:
         return [lift([1.0])]
     if _gaps_keep_a_sign(rule, support, cache):
-        for _ in range(24 if size >= 3 else 0):
+        for _ in range(_NEWTON_STARTS if size >= 3 else 0):
             _random_simplex(rng, size)  # the draws Newton would make
         return []
 
@@ -478,7 +571,7 @@ def _symmetric_support_candidates(
     # size >= 3: damped Newton with numerical Jacobian, multistart
     found: list[tuple[float, ...]] = []
     starts: list[list[float]] = [[1.0 / size] * (size - 1)]
-    for _ in range(24):
+    for _ in range(_NEWTON_STARTS):
         starts.append(_random_simplex(rng, size)[:-1])
     h = 1e-7
     for x in starts:

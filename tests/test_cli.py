@@ -159,6 +159,17 @@ class TestNash:
         assert code == EXIT_USAGE
         assert "tolerance must be positive" in err and not out
 
+    @pytest.mark.parametrize("mode, name", [("symmetric", "tolerance"), ("search", "eps")])
+    def test_infinite_tolerance_rejected(self, capsys, mode, name):
+        # An infinite tolerance skipped the residual gate and let search
+        # candidates that fail the gap check pass as verified.
+        code, out, err = run_cli(
+            capsys, "nash", "--family", "imbalanced3", "--m", "3", "--mode", mode,
+            "--seed", "1", "--tol", "inf",
+        )
+        assert code == EXIT_USAGE
+        assert f"{name} must be positive and finite" in err and not out
+
     def test_tolerance_follows_the_mode(self, capsys):
         # With the symmetric solver's residual tolerance 1e-12, search mode
         # verified 1 of these equilibria; the search's own 1e-9 verifies 7.

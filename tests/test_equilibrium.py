@@ -290,6 +290,8 @@ class TestSymmetricSolver:
             solve_symmetric_rps3(3, tol=0.0)
         with pytest.raises(GameError):
             solve_symmetric_rps3(3, tol=float("nan"))
+        with pytest.raises(GameError, match="finite"):
+            solve_symmetric_rps3(3, tol=math.inf)
 
     @pytest.mark.parametrize(
         "m, want",
@@ -951,6 +953,41 @@ def _supports(n):
     return [s for size in range(2, n + 1) for s in combinations(range(n), size)]
 
 
+def _excluded_supports(games):
+    return {
+        (name, support)
+        for name, rule in games.items()
+        for cache in [_pure_payoff_cache(rule)]
+        for support in _supports(rule.n)
+        if equilibrium._gaps_keep_a_sign(rule, support, cache)
+    }
+
+
+def _bernstein_value(coeffs, mu, degree):
+    """Each entry of sum_a coeffs[a] (degree choose a) mu^a, exactly."""
+    total = None
+    for a, d in coeffs.items():
+        weight = Fraction(math.factorial(degree))
+        for x, k in zip(mu, a):
+            weight *= x**k / math.factorial(k)
+        terms = [weight * v for v in d]
+        total = terms if total is None else list(map(sum, zip(total, terms)))
+    return total
+
+
+def _exact_gaps(rule, support, cache, point):
+    """u_o - u_last on ``support`` against opponents all mixing by ``point``,
+    from the count distribution and the exact values of the float rows."""
+    v = [Fraction(0)] * rule.n
+    for o, p in zip(support, point):
+        v[o] = p
+    u = [Fraction(0)] * rule.n
+    for counts, pr in choice_count_distribution([tuple(v)] * (rule.m - 1), rule.n).items():
+        for o, r in enumerate(cache[counts]):
+            u[o] += pr * Fraction(r)
+    return [u[o] - u[support[-1]] for o in support[:-1]]
+
+
 class TestSupportExclusion:
     """``_gaps_keep_a_sign`` skips a symmetric support whose payoff
     differences provably never all vanish; the scan or Newton it skips
@@ -997,9 +1034,21 @@ class TestSupportExclusion:
         }
         assert all(excluded[size] > 0 for size in (2, 3, 4)), excluded
 
+    def test_subdivision_reaches_past_the_root_cell(self, monkeypatch):
+        # Halving the face proves supports of every size that the whole
+        # face's test alone leaves to the scan or Newton, so the batch check
+        # above runs the unguarded search on cells' proofs too.
+        cells = _excluded_supports(EXCLUSION_GAMES)
+        monkeypatch.setattr(equilibrium, "_EXCLUSION_DEPTH", 0)
+        root = _excluded_supports(EXCLUSION_GAMES)
+        assert root < cells
+        assert {len(s) for _, s in cells - root} == {2, 3, 4}
+
     def test_benchmark_reach(self, search_workload_games):
-        # maximal3's full support, where Newton ran 1,404 payoff evaluations
-        # for nothing, and 12 of the 16 two-object supports.
+        # Every full support but imbalanced3's and odd-one-out's, which hold
+        # the symmetric equilibria; Newton ran for nothing on maximal3's
+        # (1,404 payoff evaluations) and on the three tables'.  And 12 of the
+        # 16 two-object supports.
         pairs = 0
         for game, _ in search_workload_games:
             cache = _pure_payoff_cache(game)
@@ -1008,8 +1057,73 @@ class TestSupportExclusion:
                 for pair in combinations(range(game.n), 2)
             )
             full = equilibrium._gaps_keep_a_sign(game, tuple(range(game.n)), cache)
-            assert full == (game.construction == "maximal3 m=3"), game.construction
+            holds_root = game.construction in ("imbalanced3 m=3", "odd-one-out m=4")
+            assert full != holds_root, game.construction
         assert pairs == 12
+
+    @pytest.mark.parametrize(
+        "rule, support",
+        [
+            *[(imbalanced_rps3(m), (0, 1, 2)) for m in (2, 3, 4)],
+            (odd_one_out(4), (0, 1)),
+        ],
+        ids=["imbalanced3 m=2", "imbalanced3 m=3", "imbalanced3 m=4", "odd-one-out m=4"],
+    )
+    def test_supports_holding_a_root_are_kept(self, rule, support):
+        cache = _pure_payoff_cache(rule)
+        assert not equilibrium._gaps_keep_a_sign(rule, support, cache)
+        found = equilibrium._symmetric_support_candidates(rule, support, cache, random.Random(0))
+        assert found
+
+    @pytest.mark.parametrize(
+        "name", ["imbalanced3 m=4", "table m=2 n=5 #0", "table m=3 n=4 #1", "table m=4 n=5 #1"]
+    )
+    def test_halves_keep_the_polynomial(self, name):
+        # Seeded halvings, either vertex order, down to a cell four deep:
+        # its coefficients over their scale, at seeded rational points of
+        # the cell, equal the payoff differences at the same face point.
+        rule = ORACLE_GAMES[name]
+        cache = _pure_payoff_cache(rule)
+        degree = rule.m - 1
+        rng = random.Random(name)
+        for support in _supports(rule.n):
+            size = len(support)
+            coeffs, scale = equilibrium._face_coefficients(rule, support, cache)
+            verts = [[Fraction(int(k == v)) for k in range(size)] for v in range(size)]
+            for _ in range(4):
+                i, j = rng.sample(range(size), 2)
+                mid = [(x + y) / 2 for x, y in zip(verts[i], verts[j])]
+                half = rng.randrange(2)
+                coeffs = equilibrium._face_halves(coeffs, i, j, degree)[half]
+                verts[(j, i)[half]] = mid
+                scale <<= degree
+            for _ in range(3):
+                raw = [rng.randint(1, 9) for _ in range(size)]
+                mu = [Fraction(r, sum(raw)) for r in raw]
+                point = [sum(w * v[k] for w, v in zip(mu, verts)) for k in range(size)]
+                got = [x / scale for x in _bernstein_value(coeffs, mu, degree)]
+                assert got == _exact_gaps(rule, support, cache, point), (support, point)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 6])
+    def test_gaps_vanishing_at_a_vertex_give_up_at_the_cap(self, depth, monkeypatch):
+        # Against opponents all on object 1, the face's second vertex, every
+        # gap is 0: each cell holding that vertex keeps a zero coefficient,
+        # so halving never proves it, and the prover stops at the cap.
+        rule = imbalanced_rps3(3)
+        rng = random.Random(depth)
+        cache = {
+            counts: tuple(rng.choice((-1.0, 2.0)) for _ in range(3))
+            for counts in _pure_payoff_cache(rule)
+        }
+        cache[0, 2, 0] = (0.5, 0.5, 0.5)
+        halvings = []
+        halves = equilibrium._face_halves
+        monkeypatch.setattr(equilibrium, "_EXCLUSION_DEPTH", depth)
+        monkeypatch.setattr(
+            equilibrium, "_face_halves", lambda *args: halvings.append(args) or halves(*args)
+        )
+        assert not equilibrium._gaps_keep_a_sign(rule, (0, 1, 2), cache)
+        assert depth <= len(halvings) <= 2**depth - 1
 
 
 class TestSearchConfig:
@@ -1019,6 +1133,7 @@ class TestSearchConfig:
             ("starts", -1),
             ("eps", 0.0),
             ("eps", -1e-9),
+            ("eps", math.inf),
         ],
     )
     def test_bad_field_rejected(self, field, value):
