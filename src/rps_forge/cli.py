@@ -183,7 +183,6 @@ def cmd_nash(args) -> tuple[dict, bool]:
         "k": args.k,
         "seed": args.seed,
         "tol": args.tol,
-        "starts": args.starts,
     }
     if args.mode == "symmetric":
         family = args.family
@@ -215,7 +214,7 @@ def cmd_nash(args) -> tuple[dict, bool]:
         raise GameError("search mode is stochastic: --seed is required")
     rule = _load_rule(args)
     eps = {} if args.tol is None else {"eps": args.tol}
-    search = SearchConfig(seed=args.seed, starts=args.starts, **eps)
+    search = SearchConfig(seed=args.seed, **eps)
     config["tol"] = search.eps
     found = search_equilibria(rule, search)
     records = []
@@ -518,7 +517,6 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("--mode", choices=("symmetric", "search"), default="symmetric")
     n.add_argument("--seed", type=int, default=None)
     n.add_argument("--tol", type=float, default=None, help="default 1e-12 symmetric, 1e-9 search")
-    n.add_argument("--starts", type=int, default=200)
     n.set_defaults(fn=cmd_nash)
 
     i = sub.add_parser(

@@ -7,8 +7,10 @@ three-object family, where the symmetric equilibrium (r, p, s) satisfies
 
 and the interior solution is isolated by nested bracketed bisection.
 Everything else is desk-scale numerics: exact expectation by multiset
-convolution, deviation-gap verification, and a seeded multistart search
-whose outputs are only ever reported after independent verification.
+convolution, deviation-gap verification, and a search that enumerates
+the exact uniform-support equilibria and roots symmetric supports from
+seeded starts, whose outputs are only ever reported after independent
+verification.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
-from operator import add, and_, ge, mul, ne, sub
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
@@ -28,17 +30,7 @@ Vector = tuple[Number, ...]
 
 PROB_SUM_TOL = 1e-12
 
-# Damped best response moves each player _DAMPING of the way to its best
-# set per sweep, for at most _MAX_SWEEPS sweeps.  It keeps a start once a
-# sweep moves no component by _KEEP_MOVE, and gives it up when a sweep after
-# _GIVE_UP_SWEEP still moves one by _GIVE_UP_MOVE.  The search keeps one
-# verified candidate within each sup distance _DEDUP.
-_DAMPING = 0.5
-_MAX_SWEEPS = 10_000
-_KEEP_MOVE = 1e-10
-_GIVE_UP_SWEEP = 300
-_GIVE_UP_MOVE = 1e-4
-_DEDUP = 1e-6
+_DEDUP = 1e-6  # the search keeps one verified candidate within each sup distance
 
 _SUPPORT_TOL = 1e-9  # a player plays an object when its probability exceeds this
 
@@ -362,11 +354,8 @@ class SearchConfig:
 
     seed: int
     eps: float = 1e-9
-    starts: int = 200
 
     def __post_init__(self):
-        if self.starts < 0:
-            raise GameError(f"starts must be >= 0, got {self.starts}")
         if not (self.eps > 0 and math.isfinite(self.eps)):  # inf verifies any candidate
             raise GameError(f"eps must be positive and finite, got {self.eps}")
 
@@ -377,19 +366,6 @@ def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, ...], tuple[float, ...
         counts: _payoff_row(rule, counts)
         for counts, _ in enumerate_multisets(rule.n, rule.m - 1)
     }
-
-
-def _payoff_rows(rule: GameRule, cache: dict) -> list[list[float]]:
-    """``rows[o][j]``: payoff of own object ``o`` against the j-th ordered
-    tuple of opponent objects, tuples in ``itertools.product`` order."""
-    n = rule.n
-    keys = []
-    for picks in product(range(n), repeat=rule.m - 1):
-        counts = [0] * n
-        for o in picks:
-            counts[o] += 1
-        keys.append(tuple(counts))
-    return [[cache[counts][o] for counts in keys] for o in range(n)]
 
 
 def _random_simplex(rng: random.Random, size: int) -> list[float]:
@@ -535,7 +511,8 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> 
 def _symmetric_support_candidates(
     rule: GameRule, support: tuple[int, ...], cache: dict, rng: random.Random
 ) -> list[tuple[float, ...]]:
-    """Symmetric profiles supported on ``support`` equalizing payoffs there."""
+    """Symmetric profiles supported on ``support``, of two objects or more,
+    equalizing payoffs there."""
     n, size = rule.n, len(support)
 
     def lift(x: Sequence[float]) -> tuple[float, ...]:
@@ -544,11 +521,7 @@ def _symmetric_support_candidates(
             v[o] = p
         return tuple(v)
 
-    if size == 1:
-        return [lift([1.0])]
     if _gaps_keep_a_sign(rule, support, cache):
-        for _ in range(_NEWTON_STARTS if size >= 3 else 0):
-            _random_simplex(rng, size)  # the draws Newton would make
         return []
 
     def diffs(x: list[float]) -> list[float]:
@@ -608,266 +581,57 @@ def _symmetric_support_candidates(
     return found
 
 
-def _best_response_profiles(
-    rule: GameRule, cache: dict, config: SearchConfig, rng: random.Random
-) -> list[list[list[float]]]:
-    """Damped best-response iteration from seeded random starts, in lockstep.
+def _uniform_support_equilibria(rule: GameRule) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Every exact equilibrium in which each player is uniform on its
+    support, as ``Fraction`` vectors, in every distinct ordering of the
+    players.
 
-    All starts are drawn first, in start-by-start order, and advance
-    together sweep by sweep; ``cols[i][o]`` holds player i's probability
-    of object o, one entry per active start.  An update builds the
-    opponents' joint column by column in ``itertools.product`` order and
-    sums each object's payoff column over the tuples it does not tie
-    against, in that order, a payoff of 1 or -1 as a bare add or subtract:
-    a skipped zero term would add 0.0, which changes no sum, and 1.0 * p is
-    p.  The cut, best set, damped step and change are column-wise too.  So
-    each start does the float operations of running alone, and its
-    profile is the same.
+    A player's payoffs depend on the opponents' multiset alone, so support
+    profiles are walked up to player order, smaller supports first, and
+    each opponents' multiset gets its best set once.  Payoffs are exact
+    integers: ``_payoff_against`` times the lcm of its denominators, summed
+    over the opponents' ordered picks from their supports, which scales
+    one player's expected payoffs by one positive constant.  A profile is
+    kept when every object of every support is at its player's top payoff
+    exactly.  This is support enumeration (Porter, Nudelman and Shoham,
+    GEB 63, 2008) restricted to uniform vectors.
 
-    A start is kept once a sweep moves no component by 1e-10.  It is
-    dropped after 300 sweeps that still move one by 1e-4, or as soon as
-    its state at the top of a sweep equals the copy saved at sweep 1, 2,
-    4, 8, ... (Brent's cycle check, with marks shared by all starts).  A
-    sweep depends on the state alone, so such a repeat replays the same
-    unconverged sweeps forever.  A start whose best sets provably never
-    change again is finished by ``_lock_in``, without payoffs.  Kept
-    profiles come back in start order.
+    It contains every profile that damped best response, x_i <- x_i / 2 +
+    uniform(B_i) / 2 from random starts with B_i the float best set, could
+    keep; the search ran that before.  Within the desk-scale guard (m <= 4,
+    n <= 5) every payoff's denominator divides 6 and every support size
+    divides 60, so a nonzero exact payoff gap at a uniform-support profile
+    is at least 1 / (6 * 60^3), about 7.7e-7.  A start was kept after a
+    sweep that moved no component by 1e-10.  Through that sweep each
+    player lay within about 3e-10 of y_i, uniform on B_i, and its float
+    payoffs within about 1e-8 of the exact u(y), so every object of B_i
+    was within 3e-8 of the top at y.  No nonzero gap is that small, so
+    every object of B_i is exactly tied at the top: y is enumerated here,
+    and the kept state, x_i / 2 + y_i / 2 moving x_i by under 1e-10, lies
+    within 1e-10 of it.
     """
     m, n = rule.m, rule.n
-    # nonzero[o]: (j, payoff) for each ordered opponent tuple j with a nonzero payoff
-    nonzero = [[(j, r) for j, r in enumerate(row) if r] for row in _payoff_rows(rule, cache)]
-    opponents = [[j for j in range(m) if j != i] for i in range(m)]
-    damping, hold = _DAMPING, 1.0 - _DAMPING
-    lock_in = _lock_in(rule, cache)
-    starts = [[_random_simplex(rng, n) for _ in range(m)] for _ in range(config.starts)]
-    cols = [[[s[i][o] for s in starts] for o in range(n)] for i in range(m)]
-    ids, go = list(range(config.starts)), [True] * config.starts
-    saved, mark = [()] * config.starts, 1  # no state equals (): nothing saved yet
-    kept = {}
-    for it in range(_MAX_SWEEPS):
-        # Drop finished starts and starts back at their saved state, which
-        # cycle forever; state[k] is start k's profile, flattened.
-        state = list(zip(*chain.from_iterable(cols)))
-        go = list(map(and_, go, map(ne, state, saved)))
-        if not all(go):
-            ids, state, saved = (list(compress(x, go)) for x in (ids, state, saved))
-            cols = [[list(compress(c, go)) for c in player] for player in cols]
-        if not ids:
-            break
-        if it == mark:
-            saved, mark = state, 2 * mark
-        change = zeros = [0.0] * len(ids)
-        best_sets = []
-        for i in range(m):
-            # joint[j][k]: probability that start k's opponents play ordered tuple j
-            opp = [cols[j] for j in opponents[i]] or [[[1.0] * len(ids)]]
-            joint = opp[0]  # 1.0 * p == p: the first factor needs no product
-            for c in opp[1:]:
-                joint = [list(map(mul, a, b)) for a in joint for b in c]
-            u = []
-            for terms in nonzero:
-                uo = zeros
-                for j, r in terms:
-                    if r == 1.0:
-                        uo = list(map(add, uo, joint[j]))
-                    elif r == -1.0:
-                        uo = list(map(sub, uo, joint[j]))
-                    else:
-                        uo = list(map(add, uo, map(mul, repeat(r), joint[j])))
-                u.append(uo)
-            cut = [max(us) - 1e-12 for us in zip(*u)]
-            best = [list(map(ge, uo, cut)) for uo in u]
-            best_sets.append(list(zip(*best)))
-            # damping * (share if b else 0.0), as damping * 0.0 is 0.0
-            step = [damping * (1.0 / sum(bs)) for bs in best_sets[i]]
-            new = [
-                [hold * x + (d if b else 0.0) for x, b, d in zip(xs, bo, step)]
-                for xs, bo in zip(cols[i], best)
-            ]
-            for xs, ys in zip(new, cols[i]):
-                change = list(map(max, change, map(abs, map(sub, xs, ys))))
-            cols[i] = new
-        done = [c < _KEEP_MOVE for c in change]
-        for k in compress(range(len(ids)), done):
-            kept[ids[k]] = [[c[k] for c in player] for player in cols]
-        go = [
-            not d and not (it > _GIVE_UP_SWEEP and c > _GIVE_UP_MOVE)
-            for d, c in zip(done, change)
-        ]
-        # Finish without payoffs each start whose best sets provably stay at
-        # one object each, its first best one.  The test runs at sweeps 0,
-        # 1, 3, 7, ...: each wait is twice the last.
-        if it & (it + 1):
-            continue
-        for k in compress(range(len(ids)), go):
-            b = tuple(bs[k].index(True) for bs in best_sets)
-            locked, profile = lock_in(b, cols, k, it)
-            if not locked:
-                continue
-            go[k] = False
-            if profile is not None:
-                kept[ids[k]] = profile
-    return [kept[k] for k in sorted(kept)]
-
-
-def _lock_in(
-    rule: GameRule, cache: dict
-) -> Callable[[tuple[int, ...], list, int, int], tuple[bool, list[list[float]] | None]]:
-    """``lock_in(b, cols, k, it)`` for start ``k`` of the kernel's columns
-    ``cols`` after sweep ``it``: (False, None) unless every later best set
-    of each player i is provably {b_i}; else (True, the profile the kernel
-    keeps, or None).  The start's flat state x is read only once b is known
-    to be a pure equilibrium.
-
-    With d_j = x_j - e_{b_j}, while the best sets are {b} player i meets
-    opponent j at e_{b_j} + a_ij * mu * d_j, mu = hold^s after s more
-    sweeps, a_ij = hold if j < i else 1.  So u_{b_i} - u_o = c0 + mu L +
-    R, with c0 the gap at b, L the terms in one d_j, and |R| <= mu^2 H, H
-    = w (prod(1 + t_j) - 1 - sum t_j), t_j = a_ij |d_j|_1, w the widest
-    gap.  A running start moved 1e-10 last sweep, so mu >= mu_min = hold *
-    1e-10 / (damping * max |d|), up to rounding.  If c0 + mu L - mu^2 H,
-    concave in mu, clears the cut 1e-12 plus ``tol`` (float error;
-    ``slip`` bounds the drift from the ideal path) at mu_min and at 1,
-    then by induction o stays out of every later best set.
-
-    The start then runs the kernel's update, keep and give-up rules
-    without payoffs, skipping the change while a sweep certainly moves
-    a component by 1e-10.  Its repeat rule never fires: each component
-    follows a nondecreasing map, so its iterates are monotone; a repeat of
-    the state saved at sweep t would make them constant from t, so the
-    start was kept at t.
-    """
-    m, n = rule.m, rule.n
-    damping, hold = _DAMPING, 1.0 - _DAMPING
-    rmax = max(abs(r) for row in cache.values() for r in row)
-    slip = 4e-16 / damping  # each step's rounding, summed over a geometric series
-    tol = 1e-12 + (rmax + 1.0) * ((n ** (m - 1) + m * n + 8) * 2.0**-48 + 2 * (m - 1) * n * slip)
-    players = [[(j, hold if j < i else 1.0) for j in range(m) if j != i] for i in range(m)]
-    tables: dict[tuple[int, ...], list | None] = {}
-
-    def table(b: tuple[int, ...]) -> list | None:
-        """Per player i and object o != b_i: c0, the coefficients of L,
-        and w; None if b is no pure equilibrium."""
-        def gap(i: int, moved: dict[int, int], o: int) -> float:
-            counts = [0] * n
-            for k in range(m):
-                if k != i:
-                    counts[moved.get(k, b[k])] += 1
-            row = cache[tuple(counts)]
-            return row[b[i]] - row[o]
-
-        out = []
-        for i, opps in enumerate(players):
-            gaps = []
-            for o in range(n):
-                if o != b[i]:
-                    c0 = gap(i, {}, o)
-                    if c0 < 0:
-                        return None
-                    gaps.append((
-                        c0,
-                        [a * gap(i, {j: t}, o) for j, a in opps for t in range(n)],
-                        max(abs(row[b[i]] - row[o]) for row in cache.values()),
-                    ))
-            out.append(gaps)
-        return out
-
-    def lock_in(
-        b: tuple[int, ...], cols: list, k: int, it: int
-    ) -> tuple[bool, list[list[float]] | None]:
-        if b not in tables:
-            tables[b] = table(b)
-        if tables[b] is None:
-            return False, None
-        x = [c[k] for player in cols for c in player]
-        d = x[:]
-        for j, bj in enumerate(b):
-            d[j * n + bj] -= 1.0
-        dj = [d[j * n : j * n + n] for j in range(m)]
-        top = max(map(abs, d))
-        # 1 - 1e-6 covers the rounding of the change, and of 1 - hold against damping
-        mu = hold * (_KEEP_MOVE * (1 - 1e-6) - 2 * slip) / (damping * top) if top else 1.0
-        mu = min(1.0, max(0.0, mu))
-        for opps, gaps in zip(players, tables[b]):
-            one = [v for j, _ in opps for v in dj[j]]
-            t = [a * sum(map(abs, dj[j])) for j, a in opps]
-            rest = max(0.0, math.prod(1.0 + v for v in t) - 1.0 - sum(t))
-            for c0, g1, w in gaps:
-                lin = sum(map(mul, g1, one))
-                if c0 + mu * (lin - mu * w * rest) <= tol or c0 + lin - w * rest <= tol:
-                    return False, None
-        steps = [damping if j % n == b[j // n] else 0.0 for j in range(m * n)]
-        # Sweep it + 1 + s moves the largest |d| by damping * hold^s * top -
-        # 2 * slip or more, which is _KEEP_MOVE or more for s <= skip below.
-        # So the first floor(skip) sweeps (one spare for rounding) need no
-        # change; they run one component at a time, short of the give-up
-        # sweep.  None of them could keep the start, so running past the cap
-        # changes nothing.  At damping 1, hold is 0 and none is skipped.
-        skip = 0
-        if top and hold:
-            skip = math.log((_KEEP_MOVE + 2 * slip) / (damping * top)) / math.log(hold)
-        skip = max(0, min(math.floor(skip), _GIVE_UP_SWEEP - it))
-        for j, s in enumerate(steps):
-            a = x[j]
-            for _ in range(skip):
-                a = hold * a + s
-            x[j] = a
-        for it in range(it + skip + 1, _MAX_SWEEPS):
-            y = [hold * a + s for a, s in zip(x, steps)]
-            change = max(map(abs, map(sub, y, x)))
-            x = y
-            if change < _KEEP_MOVE:
-                return True, [x[i * n : i * n + n] for i in range(m)]
-            if it > _GIVE_UP_SWEEP and change > _GIVE_UP_MOVE:
-                break
-        return True, None
-
-    return lock_in
-
-
-def _can_settle(rule: GameRule, cache: dict) -> bool:
-    """Whether damped best response could keep any start.
-
-    A start is kept after a sweep that moves no component by 1e-10.  Let
-    B_i be player i's float best set at that sweep and y_i uniform on B_i.
-    A damped step moves a state by damping times its distance to y_i, so
-    each player's state lies within (1e-10 + 1e-15) / damping of y_i
-    before its update, 1e-15 bounding the step's rounding, and within
-    1e-10 of that after it: within delta = 1e-10 + (1e-10 + 1e-15) /
-    damping of y_i throughout the sweep.  The payoffs are multilinear in
-    the opponents' vectors, so the kernel's float payoffs differ from the
-    exact u(y) by at most E = rmax * (m - 1) * n * delta + 1e-12, rmax
-    being the largest pure payoff in absolute value and 1e-12 bounding
-    the rounding of the dots.  The kernel's cut lies 1e-12 below its top
-    payoff, so for every player
-
-        B_i is a subset of {o : u_o(y) > max u(y) - 1e-12 - 2E}.
-
-    So no start is ever kept unless some profile of nonempty supports S_i
-    has every object of every S_i within 1e-12 + 2E of the top payoff at
-    y.  (The converse bound, o in B_i whenever u_o(y) >= max u(y) - 1e-12
-    + 2E, never holds, as 2E > 1e-12.)  Payoffs depend on the opponents'
-    multiset alone, so profiles are enumerated up to player order, smaller
-    supports first (pure profiles come first), with u memoized per
-    opponent multiset.
-    """
-    m, n = rule.m, rule.n
-    rmax = max(abs(x) for row in cache.values() for x in row)
-    delta = _KEEP_MOVE + (_KEEP_MOVE + 1e-15) / _DAMPING
-    margin = 1e-12 + 2.0 * (rmax * (m - 1) * n * delta + 1e-12)
+    exact = {
+        c: [_payoff_against(rule, o, c) for o in range(n)] for c, _ in enumerate_multisets(n, m - 1)
+    }
+    scale = math.lcm(*(x.denominator for row in exact.values() for x in row))
+    rows = {c: [int(x * scale) for x in row] for c, row in exact.items()}
     supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
-    uniform = {s: tuple(1.0 / len(s) if o in s else 0.0 for o in range(n)) for s in supports}
-    payoffs: dict[tuple, list[float]] = {}
+    picks = {s: tuple(int(o in s) for o in range(n)) for s in supports}
+    best_sets: dict[tuple, frozenset[int]] = {}
 
     def fits(s: tuple[int, ...], opponents: tuple) -> bool:
-        u = payoffs.get(opponents)
-        if u is None:
-            u = payoffs[opponents] = _opponent_payoffs(
-                rule, cache, [uniform[t] for t in opponents]
-            )
-        floor = max(u) - margin
-        return all(u[o] > floor for o in s)
+        best = best_sets.get(opponents)
+        if best is None:
+            u = [0] * n
+            for counts, ways in choice_count_distribution([picks[t] for t in opponents], n).items():
+                for o, x in enumerate(rows[counts]):
+                    u[o] += ways * x
+            top = max(u)
+            best = best_sets[opponents] = frozenset(o for o in range(n) if u[o] == top)
+        return best.issuperset(s)
 
+    found = []
     # Each profile once, as a nondecreasing tuple of supports grouped by its
     # last support; removing one entry leaves the opponents' tuple sorted.
     for last, s in enumerate(supports):
@@ -878,8 +642,10 @@ def _can_settle(rule: GameRule, cache: dict) -> bool:
                 for i, t in enumerate(profile)
                 if i == 0 or t != profile[i - 1]
             ):
-                return True
-    return False
+                vector = {t: tuple(Fraction(x, len(t)) for x in picks[t]) for t in profile}
+                for order in sorted(set(permutations(profile))):
+                    found.append(tuple(vector[t] for t in order))
+    return found
 
 
 def search_equilibria(
@@ -887,40 +653,31 @@ def search_equilibria(
 ) -> list[tuple[MixedProfile, NashGapReport]]:
     """Candidate equilibria of a small game, each independently verified.
 
-    Combines symmetric per-support root finding, skipping supports where
-    ``_gaps_keep_a_sign`` proves there is none, with multistart damped
-    best-response iteration.  The best-response starts run in lockstep,
-    one column per (player, object); each start does the float operations
-    of running alone and leaves at its own sweep, so the candidates, in
-    start order, are those of one start at a time.  A start that returns
-    exactly to an earlier state is cycling and is dropped at once; it
-    could never converge, so this only saves time.  Best response runs
-    only where ``_can_settle`` finds a profile of supports that a kept
-    start could end at; elsewhere (imbalanced3 at m = 3 and 4, say) no
-    start could be kept, and as best response is the last stage to draw
-    from the seeded stream, skipping it changes no result.  Every
-    candidate must pass the deviation-gap check at ``config.eps``;
-    survivors are deduplicated within sup distance ``_DEDUP``.  The
-    list may be empty (inconclusive); it is never claimed exhaustive.
+    Takes, in this order, the exact uniform-support equilibria of
+    ``_uniform_support_equilibria`` and the float roots of symmetric
+    per-support root finding on supports of two objects or more, skipping
+    supports where ``_gaps_keep_a_sign`` proves there is none; the seed
+    drives the root finding's Newton starts.  Every candidate must pass
+    the deviation-gap check at ``config.eps``; survivors are deduplicated
+    within sup distance ``_DEDUP``, so an exact profile is the one
+    reported where a float root lies that close to it.  The list may be
+    empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")
     rng = random.Random(config.seed)
     cache = _pure_payoff_cache(rule)
-
-    candidates: list[tuple[Vector, ...]] = []
-    for size in range(1, rule.n + 1):
-        for support in combinations(range(rule.n), size):
-            for v in _symmetric_support_candidates(rule, support, cache, rng):
-                candidates.append((v,) * rule.m)
-    if _can_settle(rule, cache):  # nothing reads rng after this
-        for vectors in _best_response_profiles(rule, cache, config, rng):
-            candidates.append(tuple(tuple(v) for v in vectors))
+    roots = [
+        (v,) * rule.m
+        for size in range(2, rule.n + 1)
+        for support in combinations(range(rule.n), size)
+        for v in _symmetric_support_candidates(rule, support, cache, rng)
+    ]
 
     verified: list[tuple[MixedProfile, NashGapReport]] = []
     seen: list[tuple[float, ...]] = []
-    for cand in sorted(candidates):
-        flat = tuple(p for v in cand for p in v)
+    for cand in _uniform_support_equilibria(rule) + sorted(roots):
+        flat = tuple(float(p) for v in cand for p in v)
         if any(max(abs(a - b) for a, b in zip(flat, prev)) < _DEDUP for prev in seen):
             continue
         total_fix = [tuple(p / sum(v) for p in v) for v in cand]

@@ -181,7 +181,7 @@ def test_criterion_9_playability_evidence():
     support_tol = 1e-9
     summaries = []
     for rule, need_s2 in ((imbalanced_rps3(3), True), (imbalanced_rps(3, 2), False)):
-        found = search_equilibria(rule, SearchConfig(seed=20260810, starts=200))
+        found = search_equilibria(rule, SearchConfig(seed=20260810))
         assert found, f"search found nothing for {rule.construction}"
         s_idx = rule.index_of("S")
         for profile, report in found:

@@ -136,13 +136,14 @@ class TestNash:
         assert code == EXIT_USAGE
         assert "seed" in err
 
-    def test_search_rejects_negative_starts(self, capsys):
-        code, out, err = run_cli(
-            capsys, "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
-            "--seed", "7", "--starts", "-5",
-        )
-        assert code == EXIT_USAGE
-        assert "starts" in err and not out
+    def test_starts_option_is_gone(self, capsys):
+        # The search enumerates its asymmetric candidates; it has no starts.
+        with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown option
+            main(["nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
+                  "--seed", "7", "--starts", "25"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert "--starts" in err and not out
 
     def test_search_rejects_nonpositive_tolerance(self, capsys):
         code, _, err = run_cli(
@@ -171,23 +172,24 @@ class TestNash:
         assert f"{name} must be positive and finite" in err and not out
 
     def test_tolerance_follows_the_mode(self, capsys):
-        # With the symmetric solver's residual tolerance 1e-12, search mode
-        # verified 1 of these equilibria; the search's own 1e-9 verifies 7.
+        # Search mode verifies at its own 1e-9 unless --tol says otherwise.
+        # All 19 results here are exact profiles with gap 0, so they verify
+        # at either tolerance.
         argv = ("nash", "--family", "odd-one-out", "--m", "4", "--mode", "search", "--seed", "1")
         code, search, _ = run_json(capsys, *argv)
         assert code == EXIT_OK
         assert search["config"]["tol"] == 1e-9
-        assert search["payload"]["equilibria_found"] == 7
+        assert search["payload"]["equilibria_found"] == 19
         _, strict, _ = run_json(capsys, *argv, "--tol", "1e-12")
         assert strict["config"]["tol"] == 1e-12
-        assert strict["payload"]["equilibria_found"] == 1
+        assert strict["payload"]["equilibria_found"] == 19
         _, symmetric, _ = run_json(capsys, "nash", "--family", "imbalanced3", "--m", "3")
         assert symmetric["config"]["tol"] == 1e-12
 
     def test_search_deterministic_given_seed(self, capsys):
         argv = (
             "nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
-            "--seed", "7", "--starts", "25",
+            "--seed", "7",
         )
         code1, env1, _ = run_json(capsys, *argv)
         code2, env2, _ = run_json(capsys, *argv)
@@ -199,8 +201,7 @@ class TestNash:
         path = tmp_path / "g.rps"
         run_json(capsys, "build", "--family", "imbalanced3", "--m", "3", "--out", str(path))
         code, env, _ = run_json(
-            capsys, "nash", "--game", str(path), "--mode", "search",
-            "--seed", "7", "--starts", "25",
+            capsys, "nash", "--game", str(path), "--mode", "search", "--seed", "7"
         )
         assert code == EXIT_OK
         assert env["payload"]["equilibria_found"] >= 1
