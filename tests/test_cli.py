@@ -136,11 +136,12 @@ class TestNash:
         assert code == EXIT_USAGE
         assert "seed" in err
 
-    def test_starts_option_is_gone(self, capsys):
-        # The search enumerates its asymmetric candidates; it has no starts.
+    def test_search_rejects_negative_starts(self, capsys):
+        # The search enumerates its asymmetric candidates; it has no starts,
+        # so any --starts is an unknown option.
         with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown option
             main(["nash", "--family", "imbalanced3", "--m", "3", "--mode", "search",
-                  "--seed", "7", "--starts", "25"])
+                  "--seed", "7", "--starts", "-5"])
         out, err = capsys.readouterr()
         assert exc.value.code == EXIT_USAGE
         assert "--starts" in err and not out

@@ -3,7 +3,9 @@ seeded search.
 
 ``_uniform_support_equilibria`` must equal, as a set, a brute force over
 every ordered profile of supports that checks each player's best set with
-exact ``expected_payoff`` values.  Sha256 pins of ``search_equilibria``
+exact ``expected_payoff`` values, and must hold, within 1e-6, every profile
+that damped best response (the search's former asymmetric stage, kept here
+as a test-side loop) keeps.  Sha256 pins of ``search_equilibria``
 output cover the benchmark's six search games.  Supports that
 ``_gaps_keep_a_sign`` skips must hold nothing the unguarded scan or Newton
 would find.
@@ -15,7 +17,8 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import mul, sub
 from pathlib import Path
 
 import pytest
@@ -465,14 +468,6 @@ class TestSearch:
         text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_imbalanced_k2_result_is_pinned(self):
-        found = search_equilibria(imbalanced_rps(3, 2), SearchConfig(seed=1))
-        text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
-        assert (
-            hashlib.sha256(text.encode()).hexdigest()
-            == "856724a12fae4591762818a2f673eae23a20bf40632fab2fb749052bf6126dcf"
-        )
-
     def test_exact_profile_wins_the_dedup(self):
         # Newton roots the full support of imbalanced3 m=2 at a float point
         # within 1e-6 of (1/3, 1/3, 1/3), which the enumeration finds exactly.
@@ -593,6 +588,334 @@ def _with_random_tables(base: dict, seed: int) -> dict:
         m, n = rng.randint(2, 4), rng.randint(2, 5)
         games[f"random m={m} n={n} #{copy}"] = random_table_rule(rng, m, n)
     return games
+
+
+def _payoff_rows(rule, cache):
+    """``rows[o][j]``: payoff of own object ``o`` against the j-th ordered
+    tuple of opponent objects, tuples in ``itertools.product`` order."""
+    keys = []
+    for picks in product(range(rule.n), repeat=rule.m - 1):
+        counts = [0] * rule.n
+        for o in picks:
+            counts[o] += 1
+        keys.append(tuple(counts))
+    return [[cache[counts][o] for counts in keys] for o in range(rule.n)]
+
+
+def best_response_profiles(rule, starts, rng, damping=0.5, sweeps=10_000):
+    """Damped best response from ``starts`` seeded random starts, the
+    search's asymmetric stage before the exact enumeration replaced it.
+
+    Each sweep moves every player ``damping`` of the way to the uniform
+    vector on its float best set (payoffs within 1e-12 of the top).  A
+    start is kept once a sweep moves no component by 1e-10.  It is dropped
+    after 300 sweeps that still move one by 1e-4, at the sweep cap, or as
+    soon as ``vectors`` at the top of a sweep equals a copy saved at sweep
+    1, 2, 4, 8, ... (Brent's cycle check): a sweep depends on ``vectors``
+    alone, so an exact repeat replays the same sweeps forever.
+    """
+    m, n = rule.m, rule.n
+    rows = _payoff_rows(rule, _pure_payoff_cache(rule))
+    opponents = [[j for j in range(m) if j != i] for i in range(m)]
+    results = []
+    for _ in range(starts):
+        vectors = [equilibrium._random_simplex(rng, n) for _ in range(m)]
+        change = 1.0
+        saved, mark = None, 1
+        for it in range(sweeps):
+            if vectors == saved:
+                break  # exact repeat: cycling forever, never converging
+            if it == mark:
+                saved, mark = vectors[:], 2 * mark  # rows are replaced, not mutated
+            change = 0.0
+            for i in range(m):
+                # joint[j]: probability that the opponents play ordered tuple j
+                joint = [1.0]
+                for j in opponents[i]:
+                    joint = [a * b for a in joint for b in vectors[j]]
+                u = [sum(map(mul, row, joint)) for row in rows]
+                cut = max(u) - 1e-12
+                best = [uo >= cut for uo in u]
+                share = 1.0 / sum(best)
+                old = vectors[i]
+                new = [
+                    (1.0 - damping) * x + damping * (share if b else 0.0)
+                    for x, b in zip(old, best)
+                ]
+                change = max(change, *map(abs, map(sub, new, old)))
+                vectors[i] = new
+            if change < 1e-10:
+                break
+            if it > 300 and change > 1e-4:
+                break  # circling, not contracting; give up on this start
+        if change < 1e-10:
+            results.append(vectors)
+    return results
+
+
+def assert_near(kept, profiles, tol=1e-6):
+    """Every profile in ``kept`` lies within sup distance ``tol`` of one of
+    ``profiles``."""
+    flat = [[float(p) for v in profile for p in v] for profile in profiles]
+    for vectors in kept:
+        point = [p for v in vectors for p in v]
+        assert any(max(map(abs, map(sub, point, q))) <= tol for q in flat), vectors
+
+
+ORACLE_GAMES_SMALL = sorted(k for k, g in ORACLE_GAMES.items() if g.m * g.n <= 12)
+
+# Games where best response never converges, so every start ends by the
+# exact-repeat check, the give-up rule or the sweep cap.
+CYCLING_GAMES = {
+    **{f"imbalanced3 m={m}": imbalanced_rps3(m) for m in (2, 3, 4)},
+    "imbalanced m=3 k=2": imbalanced_rps(3, 2),
+}
+
+THIRDS = ((Fraction(1, 3),) * 3,)
+
+
+class TestBestResponseOracle:
+    """Every profile damped best response keeps lies within 1e-6 of an
+    exact uniform-support equilibrium, as ``_uniform_support_equilibria``'s
+    containment proof says, and so of a ``search_equilibria`` result."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GAMES))
+    def test_profiles_equal_reference(self, name):
+        rule = ORACLE_GAMES[name]
+        kept = best_response_profiles(rule, 6, random.Random(sum(map(ord, name))))
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    @pytest.mark.parametrize("name", ORACLE_GAMES_SMALL)
+    def test_search_equals_reference(self, name):
+        rule = ORACLE_GAMES[name]
+        seed = sum(map(ord, name))
+        found = search_equilibria(rule, SearchConfig(seed=seed))
+        kept = best_response_profiles(rule, 12, random.Random(seed))
+        assert found
+        assert_near(kept, [p.vectors for p, _ in found])
+
+    @pytest.mark.parametrize("max_iter", [40, 400])
+    @pytest.mark.parametrize("damping", [1.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(CYCLING_GAMES))
+    def test_cycling_games_equal_reference(self, name, damping, max_iter):
+        # Best response keeps nothing here; the enumeration needs no start
+        # and finds the one uniform-support equilibrium there is.
+        rule = CYCLING_GAMES[name]
+        kept = best_response_profiles(rule, 6, random.Random(max_iter), damping, max_iter)
+        assert kept == []
+        want = [THIRDS * 2] if name == "imbalanced3 m=2" else []
+        assert _uniform_support_equilibria(rule) == want
+
+
+LOCKSTEP_GAMES = {**ORACLE_GAMES, **CYCLING_GAMES}
+
+# Degenerate games: a lone player has an empty opponent joint, and a lone
+# object makes every start's best set that object.
+EDGE_GAMES = {
+    "imbalanced3 m=3": imbalanced_rps3(3),
+    "maximal3 m=3": maximal_rps3(3),
+    "table m=2 n=3 #0": ORACLE_GAMES["table m=2 n=3 #0"],
+    "one player": random_table_rule(random.Random(5), 1, 3),
+    "one object": random_table_rule(random.Random(5), 3, 1),
+}
+
+
+class TestLockstepOracle:
+    """Containment over many starts per game, each leaving best response
+    at a different sweep, and on degenerate games."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_GAMES))
+    def test_profiles_equal_scalar_loop(self, name):
+        rule = LOCKSTEP_GAMES[name]
+        starts = 200 if rule.m * rule.n <= 12 else 20
+        kept = best_response_profiles(rule, starts, random.Random(sum(map(ord, name))))
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    @pytest.mark.parametrize(
+        "name, damping, starts", [("table m=4 n=3 #0", 1.0, 40), ("table m=4 n=4 #0", 0.3, 10)]
+    )
+    def test_kept_and_dropped_starts_mixed(self, name, damping, starts):
+        # Starts that converge share the batch with starts that repeat
+        # (the first game) or give up (the second).
+        rule = ORACLE_GAMES[name]
+        kept = best_response_profiles(rule, starts, random.Random(sum(map(ord, name))), damping)
+        assert 0 < len(kept) < starts
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    @pytest.mark.parametrize("damping", [1.0, 0.3])
+    @pytest.mark.parametrize("max_iter", [1, 2, 10_000])
+    @pytest.mark.parametrize("starts", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
+    def test_edges_equal_scalar_loop(self, name, starts, max_iter, damping):
+        rule = EDGE_GAMES[name]
+        kept = best_response_profiles(rule, starts, random.Random(starts), damping, max_iter)
+        assert_near(kept, _uniform_support_equilibria(rule))
+        if starts == 0:
+            assert kept == []
+
+
+class TestCycleCheck:
+    """Best response on ``imbalanced3`` only cycles, so it found nothing
+    asymmetric there; the search still reports the symmetric equilibrium."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_cycling_starts_stop_early(self, m):
+        rule = imbalanced_rps3(m)
+        kept = best_response_profiles(rule, 20, random.Random(0))
+        found = search_equilibria(rule, SearchConfig(seed=0))
+        assert kept == [] and len(found) == 1 and found[0][0].symmetric
+
+
+# Games where no support profile is near a best response to itself, so no
+# best-response start can ever be kept.
+NEVER_SETTLE = {
+    "imbalanced3 m=3": imbalanced_rps3(3),
+    "imbalanced3 m=4": imbalanced_rps3(4),
+    "imbalanced m=3 k=2": imbalanced_rps(3, 2),
+}
+
+
+class TestSettleSkip:
+    """Where no uniform-support profile ties, the enumeration is empty and
+    every result comes from the symmetric stage; elsewhere each enumerated
+    profile is reported exactly."""
+
+    @pytest.mark.parametrize("name", sorted(NEVER_SETTLE))
+    def test_skipped_where_no_start_can_settle(self, name):
+        rule = NEVER_SETTLE[name]
+        assert _uniform_support_equilibria(rule) == []
+        found = search_equilibria(rule, SearchConfig(seed=1))
+        assert found and all(p.symmetric for p, _ in found)
+
+    def test_settling_games_still_run_best_response(self, search_workload_games):
+        games = [imbalanced_rps3(2)] + [game for game, _ in search_workload_games[1:]]
+        for game in games:
+            enumerated = _uniform_support_equilibria(game)
+            found = {p.vectors for p, _ in search_equilibria(game, SearchConfig(seed=1))}
+            assert enumerated and set(enumerated) <= found, game.construction
+
+    def test_imbalanced_k2_result_is_pinned(self):
+        found = search_equilibria(imbalanced_rps(3, 2), SearchConfig(seed=1))
+        text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "856724a12fae4591762818a2f673eae23a20bf40632fab2fb749052bf6126dcf"
+        )
+
+
+SETTLE_ORACLE_GAMES = _with_random_tables(LOCKSTEP_GAMES, 20261019)
+
+
+def _smallest_miss(rule):
+    """Over every ordered support profile, each player uniform on its own,
+    the least exact amount by which some support object falls short of its
+    player's top ``expected_payoff``; 0 where a profile ties."""
+    n = rule.n
+    supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+    vector = {s: tuple(Fraction(int(o in s), len(s)) for o in range(n)) for s in supports}
+    payoffs = {}
+    for key in combinations_with_replacement(supports, rule.m - 1):
+        profile = MixedProfile(tuple(vector[s] for s in (supports[0],) + key))
+        payoffs[tuple(sorted(key))] = [expected_payoff(rule, profile, 0, o) for o in range(n)]
+    misses = []
+    for profile in product(supports, repeat=rule.m):
+        miss = 0
+        for i, s in enumerate(profile):
+            u = payoffs[tuple(sorted(profile[:i] + profile[i + 1 :]))]
+            miss = max(miss, max(u) - min(u[o] for o in s))
+        misses.append(miss)
+    return min(misses)
+
+
+class TestSettleOracle:
+    """Wherever best response keeps a start, at any damping, the
+    enumeration holds a profile within 1e-6 of it."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3])
+    @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
+    def test_true_wherever_a_start_is_kept(self, name, damping):
+        rule = SETTLE_ORACLE_GAMES[name]
+        kept = [
+            profile
+            for seed in range(3)
+            for profile in best_response_profiles(rule, 6, random.Random(seed), damping)
+        ]
+        enumerated = _uniform_support_equilibria(rule)
+        assert_near(kept, enumerated)
+        if name in NEVER_SETTLE:
+            assert not kept and not enumerated
+
+    def test_slack_grows_as_damping_shrinks(self):
+        # The enumeration compares exact payoffs, with no slack for damping
+        # to grow: every support profile of imbalanced3 m=3 misses a tie by
+        # an exact 2/3, far above the 1 / (6 * 60^3) floor of the
+        # containment proof, and none is enumerated.
+        rule = imbalanced_rps3(3)
+        assert _smallest_miss(rule) == Fraction(2, 3)
+        assert _uniform_support_equilibria(rule) == []
+        assert _smallest_miss(maximal_rps3(3)) == 0
+
+
+class TestLockInOracle:
+    """Containment at dampings down to 0.1, where a kept state lies up to
+    1e-9 from the profile it converges to."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
+    @pytest.mark.parametrize("name", sorted(SETTLE_ORACLE_GAMES))
+    def test_profiles_equal_scalar_loop(self, name, damping):
+        rule = SETTLE_ORACLE_GAMES[name]
+        kept = best_response_profiles(rule, 10, random.Random(sum(map(ord, name))), damping)
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
+    def test_lock_in_fires_across_the_batch(self, damping):
+        # The containment is not vacuous: every player count keeps starts.
+        by_players = {}
+        for name, rule in SETTLE_ORACLE_GAMES.items():
+            if not name.startswith(("random", "maximal3", "odd-one-out")):
+                continue
+            kept = best_response_profiles(rule, 10, random.Random(sum(map(ord, name))), damping)
+            assert_near(kept, _uniform_support_equilibria(rule))
+            by_players[rule.m] = by_players.get(rule.m, 0) + len(kept)
+        assert all(by_players[m] > 10 for m in (2, 3, 4)), by_players
+
+    def test_damping_one_locks_in_off_the_pure_profile(self):
+        # At damping 1 a kept state is uniform on its best sets itself, so
+        # it equals the float image of an enumerated profile exactly.
+        rule = random_table_rule(random.Random(42), 3, 4)
+        kept = best_response_profiles(rule, 10, random.Random(42), 1.0)
+        assert kept
+        assert_near(kept, _uniform_support_equilibria(rule), tol=0.0)
+
+    @pytest.mark.parametrize("name", ["maximal3 m=3", "odd-one-out m=4"])
+    def test_locked_starts_skip_payoffs(self, name):
+        # Every one of 200 starts is kept, each near an enumerated profile.
+        rule = ORACLE_GAMES[name]
+        kept = best_response_profiles(rule, 200, random.Random(1))
+        assert len(kept) == 200
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    def test_terms_in_two_opponents_can_decide(self):
+        # Four players: each payoff sums terms in three opponents' vectors.
+        rule = ORACLE_GAMES["table m=4 n=3 #0"]
+        kept = best_response_profiles(rule, 30, random.Random(383), 0.3, 400)
+        assert len(kept) == 30
+        assert_near(kept, _uniform_support_equilibria(rule))
+
+    @pytest.mark.parametrize(
+        "damping, max_iter, kept",
+        [
+            (0.5, 3, 0), (0.5, 20, 0), (0.3, 40, 0), (0.1, 40, 0),
+            (0.5, 10_000, 30), (0.01, 10_000, 0),
+        ],
+    )
+    def test_cap_and_give_up_mid_finish(self, damping, max_iter, kept):
+        # Starts run out of sweeps at the cap or, at damping 0.01, still
+        # move 1e-4 after sweep 300 and are given up.
+        rule = ORACLE_GAMES["maximal3 m=3"]
+        got = best_response_profiles(rule, 30, random.Random(max_iter), damping, max_iter)
+        assert len(got) == kept
+        assert_near(got, _uniform_support_equilibria(rule))
 
 
 EXCLUSION_GAMES = _with_random_tables(ORACLE_GAMES, 20261020)
@@ -786,6 +1109,14 @@ class TestSearchConfig:
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(GameError, match=field):
             SearchConfig(seed=1, **{field: value})
+
+    def test_edges_accepted(self):
+        config = SearchConfig(seed=-1, eps=math.ulp(0.0))
+        assert config.eps > 0
+
+    def test_no_starts_still_searches_symmetric_supports(self):
+        found = search_equilibria(imbalanced_rps3(2), SearchConfig(seed=5))
+        assert found and all(p.symmetric for p, _ in found)
 
 
 
