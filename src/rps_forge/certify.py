@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GameError, GameRule, eval_outcome
-from .equilibrium import MixedProfile, choice_count_distribution
+from .equilibrium import MixedProfile, _check_shape, choice_count_distribution
 from .formulas import COMMITTED_ROLES, Role, ScenarioError, payoff_poly
 from .intervals import Interval, Poly2, poly_mul, poly_sub
 
@@ -416,8 +416,7 @@ def ptype_to_s_ratio_check(rule: GameRule, profile: MixedProfile) -> list[Player
     """
     if rule.levels is None:
         raise GameError("rule carries no level metadata")
-    if profile.m != rule.m:
-        raise GameError("profile size does not match the game")
+    _check_shape(rule, profile)
     p_type = [i for i, lab in enumerate(rule.labels) if lab.startswith("P")]
     s_idx = rule.index_of("S")
     deepest_level = max(rule.levels[i] for i in p_type)

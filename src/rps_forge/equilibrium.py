@@ -121,11 +121,6 @@ def _payoff_against(rule: GameRule, pure: int, opp_counts: tuple[int, ...]) -> F
     return Fraction(-1)
 
 
-def _payoff_row(rule: GameRule, counts: tuple[int, ...]) -> tuple[float, ...]:
-    """Float payoff of every object against the opponent counts ``counts``."""
-    return tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
-
-
 def expected_payoff(
     rule: GameRule, profile: MixedProfile, player: int, pure: int | str
 ) -> Number:
@@ -162,12 +157,12 @@ def _opponent_payoffs(
 ) -> list[float]:
     """Float expected payoff of every object against opponents mixing by
     ``others``, summed in count-distribution order.  ``rows`` maps opponent
-    counts to their ``_payoff_row``; missing rows are computed and added."""
+    counts to float payoff rows; missing ones are computed and added."""
     terms = []
     for counts, pr in choice_count_distribution(others, rule.n).items():
         row = rows.get(counts)
         if row is None:
-            row = rows[counts] = _payoff_row(rule, counts)
+            row = rows[counts] = tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
         terms.append((float(pr), row))
     u = []
     for o in range(rule.n):
@@ -360,12 +355,17 @@ class SearchConfig:
             raise GameError(f"eps must be positive and finite, got {self.eps}")
 
 
-def _pure_payoff_cache(rule: GameRule) -> dict[tuple[int, ...], tuple[float, ...]]:
-    """``_payoff_row`` for every count vector of the m - 1 opponents."""
-    return {
-        counts: _payoff_row(rule, counts)
-        for counts, _ in enumerate_multisets(rule.n, rule.m - 1)
+def _payoff_table(rule: GameRule) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """Every object's exact payoff against every count vector of the m - 1
+    opponents, as ``(rows, scale)``: rows[counts][o] / scale is
+    ``_payoff_against(rule, o, counts)``.  Payoffs are 0, -1 and
+    (m - w) / w for w tied winners, so scale is 1, 2 or 3 for m <= 4."""
+    exact = {
+        c: [_payoff_against(rule, o, c) for o in range(rule.n)]
+        for c, _ in enumerate_multisets(rule.n, rule.m - 1)
     }
+    scale = math.lcm(*(x.denominator for row in exact.values() for x in row))
+    return {c: tuple(int(x * scale) for x in row) for c, row in exact.items()}, scale
 
 
 def _random_simplex(rng: random.Random, size: int) -> list[float]:
@@ -395,25 +395,20 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
 
 
 def _face_coefficients(
-    rule: GameRule, support: tuple[int, ...], cache: dict
-) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    rule: GameRule, support: tuple[int, ...], rows: dict
+) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The payoff differences on ``support``'s face as integer Bernstein
-    coefficients, and the common denominator they are taken over.
+    coefficients over the scale of ``_payoff_table``'s ``rows``.
 
-    Entry a, a_k being the opponents on support[k], holds the denominator
-    times D_c for the opponent counts c that a spells out, D_c[k] =
-    row_c[s_k] - row_c[last].  Every float row is a dyadic rational, so
-    this is exact."""
+    Entry a, a_k being the opponents on support[k], holds D_c for the
+    opponent counts c that a spells out, D_c[k] = row_c[s_k] - row_c[last]:
+    the exact payoff difference times the scale."""
     last = support[-1]
-    exact = {
-        tuple(counts[o] for o in support): [
-            Fraction(row[o]) - Fraction(row[last]) for o in support[:-1]
-        ]
-        for counts, row in cache.items()
+    return {
+        tuple(counts[o] for o in support): tuple(row[o] - row[last] for o in support[:-1])
+        for counts, row in rows.items()
         if sum(counts[o] for o in support) == rule.m - 1
     }
-    scale = math.lcm(*(d.denominator for ds in exact.values() for d in ds))
-    return {a: tuple(int(d * scale) for d in ds) for a, ds in exact.items()}, scale
 
 
 def _face_halves(
@@ -448,45 +443,47 @@ def _face_halves(
     return first, second
 
 
-def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> bool:
+def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scale: int) -> bool:
     """Whether the payoff differences on ``support`` provably never all
     come within 1e-12 of zero, so neither the scan nor Newton can return
-    a root.
+    a root.  ``rows`` and ``scale`` are ``_payoff_table``'s.
 
-    On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) over opponent
-    counts c, D_c[k] = row_c[s_k] - row_c[last], with the Bernstein basis
-    B_c >= 0 summing to 1.  If sigma . D_c > |sigma|_1 (1e-12 + err) for
-    all c, for some sigma in {-1, 0, 1}^(size - 1), so does sigma . f,
-    hence max |f_k| > 1e-12 + err, ``err`` bounding the float error of
-    ``diffs`` (for m <= 4, n <= 5).
+    On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) / scale over
+    opponent counts c, D_c[k] = row_c[s_k] - row_c[last] exactly, with the
+    Bernstein basis B_c >= 0 summing to 1.  If sigma . D_c / scale >
+    |sigma|_1 (1e-12 + err) for all c, for some sigma in {-1, 0, 1}^(size
+    - 1), so does sigma . f, hence max |f_k| > 1e-12 + err.  ``err`` bounds
+    how far the float ``diffs`` lie from f: the float rows x / scale
+    round each payoff by at most 2^-53 rmax, so each difference by
+    2^-52 rmax, and the sums add their own float error (for m <= 4,
+    n <= 5).
 
     Where the whole face fails that test, its longest edge is halved
     (``_face_halves``), and so on: on each cell, f has a Bernstein form of
     the same degree in the cell's own barycentric coordinates, and the same
     test on its coefficients gives the same bound at every point of the
-    cell.  Coefficients are exact integers, the face's times its common
-    denominator and 2^(m - 1) per halving, and the margin is scaled alike.
-    The support is excluded when every cell passes; the first cell that
-    fails after _EXCLUSION_DEPTH halvings ends the proof with False.  The
-    cells cover the face.  Every point the scan or Newton evaluates,
-    rescaled to sum 1, lies on the face and so in a proved cell.  f is
-    homogeneous of degree m - 1 in the barycentric coordinates, so the
-    rescaling changes it by a factor within rounding of 1, which ``err``
-    covers with the rest of the float error of ``diffs``.  So no point
-    they look at is a root.
+    cell.  Coefficients are exact integers, the face's times 2^(m - 1) per
+    halving, and the margin is scaled alike.  The support is excluded when
+    every cell passes; the first cell that fails after _EXCLUSION_DEPTH
+    halvings ends the proof with False.  The cells cover the face.  Every
+    point the scan or Newton evaluates, rescaled to sum 1, lies on the face
+    and so in a proved cell.  f is homogeneous of degree m - 1 in the
+    barycentric coordinates, so the rescaling changes it by a factor within
+    rounding of 1, which ``err`` covers with the rest of the float error of
+    ``diffs``.  So no point they look at is a root.
     """
     size, degree = len(support), rule.m - 1
-    coeffs, scale = _face_coefficients(rule, support, cache)
-    rmax = max(abs(r) for row in cache.values() for r in row)
-    err = (len(coeffs) + rule.m * size + 4) * rmax * 2.0**-48
-    margin = Fraction(1e-12 + err) * scale
+    coeffs = _face_coefficients(rule, support, rows)
+    rmax = max(abs(x) for row in rows.values() for x in row) / scale
+    err = ((len(coeffs) + rule.m * size + 4) * 2.0**-48 + 2.0**-52) * rmax
+    num, den = (1e-12 + err).as_integer_ratio()  # the margin, exactly
     signs = [(s, sum(map(abs, s))) for s in product((-1, 0, 1), repeat=size - 1) if any(s)]
     edges = list(combinations(range(size), 2))
 
-    def keeps_a_sign(cell: dict[tuple[int, ...], tuple[int, ...]], bound: Fraction) -> bool:
+    def keeps_a_sign(cell: dict[tuple[int, ...], tuple[int, ...]], shift: int) -> bool:
         for s, norm in signs:
-            limit = math.floor(norm * bound)
-            if all(sum(map(mul, s, d)) > limit for d in cell.values()):
+            limit = norm * num * scale << shift
+            if all(sum(map(mul, s, d)) * den > limit for d in cell.values()):
                 return True
         return False
 
@@ -495,7 +492,7 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> 
     cells = [(0, [tuple(int(k == v) for k in range(size)) for v in range(size)], coeffs)]
     while cells:
         depth, verts, coeffs = cells.pop()
-        if keeps_a_sign(coeffs, margin * (1 << degree * depth)):
+        if keeps_a_sign(coeffs, degree * depth):
             continue
         if depth >= _EXCLUSION_DEPTH:
             return False
@@ -509,24 +506,24 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], cache: dict) -> 
 
 
 def _symmetric_support_candidates(
-    rule: GameRule, support: tuple[int, ...], cache: dict, rng: random.Random
+    rule: GameRule, support: tuple[int, ...], rows: dict, rng: random.Random
 ) -> list[tuple[float, ...]]:
     """Symmetric profiles supported on ``support``, of two objects or more,
-    equalizing payoffs there."""
+    equalizing the float payoff ``rows`` there."""
     n, size = rule.n, len(support)
 
     def lift(x: Sequence[float]) -> tuple[float, ...]:
+        tot = sum(x)  # a root is normalised once, here
         v = [0.0] * n
         for o, p in zip(support, x):
-            v[o] = p
+            v[o] = p / tot
         return tuple(v)
 
-    if _gaps_keep_a_sign(rule, support, cache):
-        return []
-
     def diffs(x: list[float]) -> list[float]:
-        v = lift(x + [1.0 - sum(x)])
-        u = _opponent_payoffs(rule, cache, [v] * (rule.m - 1))
+        v = [0.0] * n
+        for o, p in zip(support, x + [1.0 - sum(x)]):
+            v[o] = p
+        u = _opponent_payoffs(rule, rows, [v] * (rule.m - 1))
         last = u[support[-1]]
         return [u[o] - last for o in support[:-1]]
 
@@ -581,7 +578,7 @@ def _symmetric_support_candidates(
     return found
 
 
-def _uniform_support_equilibria(rule: GameRule) -> list[tuple[tuple[Fraction, ...], ...]]:
+def _uniform_support_equilibria(rule: GameRule, rows: dict) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Every exact equilibrium in which each player is uniform on its
     support, as ``Fraction`` vectors, in every distinct ordering of the
     players.
@@ -589,9 +586,9 @@ def _uniform_support_equilibria(rule: GameRule) -> list[tuple[tuple[Fraction, ..
     A player's payoffs depend on the opponents' multiset alone, so support
     profiles are walked up to player order, smaller supports first, and
     each opponents' multiset gets its best set once.  Payoffs are exact
-    integers: ``_payoff_against`` times the lcm of its denominators, summed
-    over the opponents' ordered picks from their supports, which scales
-    one player's expected payoffs by one positive constant.  A profile is
+    integers: ``_payoff_table``'s ``rows``, summed over the opponents'
+    ordered picks from their supports, which scales one player's expected
+    payoffs by one positive constant.  A profile is
     kept when every object of every support is at its player's top payoff
     exactly.  This is support enumeration (Porter, Nudelman and Shoham,
     GEB 63, 2008) restricted to uniform vectors.
@@ -611,11 +608,6 @@ def _uniform_support_equilibria(rule: GameRule) -> list[tuple[tuple[Fraction, ..
     within 1e-10 of it.
     """
     m, n = rule.m, rule.n
-    exact = {
-        c: [_payoff_against(rule, o, c) for o in range(n)] for c, _ in enumerate_multisets(n, m - 1)
-    }
-    scale = math.lcm(*(x.denominator for row in exact.values() for x in row))
-    rows = {c: [int(x * scale) for x in row] for c, row in exact.items()}
     supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
     picks = {s: tuple(int(o in s) for o in range(n)) for s in supports}
     best_sets: dict[tuple, frozenset[int]] = {}
@@ -653,37 +645,38 @@ def search_equilibria(
 ) -> list[tuple[MixedProfile, NashGapReport]]:
     """Candidate equilibria of a small game, each independently verified.
 
-    Takes, in this order, the exact uniform-support equilibria of
-    ``_uniform_support_equilibria`` and the float roots of symmetric
-    per-support root finding on supports of two objects or more, skipping
-    supports where ``_gaps_keep_a_sign`` proves there is none; the seed
-    drives the root finding's Newton starts.  Every candidate must pass
-    the deviation-gap check at ``config.eps``; survivors are deduplicated
-    within sup distance ``_DEDUP``, so an exact profile is the one
-    reported where a float root lies that close to it.  The list may be
-    empty (inconclusive); it is never claimed exhaustive.
+    Builds ``_payoff_table`` once; each stage reads one view of it.  Takes,
+    in this order, the exact uniform-support equilibria of
+    ``_uniform_support_equilibria``, which reads the integer rows, and the
+    float roots of symmetric per-support root finding on the float rows
+    x / scale, on supports of two objects or more, skipping supports where
+    ``_gaps_keep_a_sign`` proves from the exact payoff differences that
+    there is none; the seed drives the root finding's Newton starts.
+    Every candidate must pass the deviation-gap check at ``config.eps``;
+    survivors are deduplicated within sup distance ``_DEDUP``, so an exact
+    profile is the one reported where a float root lies that close to it.
+    The list may be empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")
     rng = random.Random(config.seed)
-    cache = _pure_payoff_cache(rule)
+    rows, scale = _payoff_table(rule)
+    floats = {c: tuple(x / scale for x in row) for c, row in rows.items()}
     roots = [
         (v,) * rule.m
         for size in range(2, rule.n + 1)
         for support in combinations(range(rule.n), size)
-        for v in _symmetric_support_candidates(rule, support, cache, rng)
+        if not _gaps_keep_a_sign(rule, support, rows, scale)
+        for v in _symmetric_support_candidates(rule, support, floats, rng)
     ]
 
     verified: list[tuple[MixedProfile, NashGapReport]] = []
     seen: list[tuple[float, ...]] = []
-    for cand in _uniform_support_equilibria(rule) + sorted(roots):
+    for cand in _uniform_support_equilibria(rule, rows) + sorted(roots):
         flat = tuple(float(p) for v in cand for p in v)
         if any(max(abs(a - b) for a, b in zip(flat, prev)) < _DEDUP for prev in seen):
             continue
-        total_fix = [tuple(p / sum(v) for p in v) for v in cand]
-        profile = MixedProfile(
-            vectors=tuple(total_fix), symmetric=len(set(total_fix)) == 1
-        )
+        profile = MixedProfile(vectors=cand, symmetric=len(set(cand)) == 1)
         report = nash_gap(rule, profile)
         if report.is_eps_nash(config.eps):
             verified.append((profile, report))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import GameError, GameRule, uniform_expected_payoffs
-from .equilibrium import MixedProfile
+from .equilibrium import MixedProfile, _check_distribution
 
 Number = float | Fraction
 
@@ -170,6 +170,8 @@ def nash_ties_imbalance(
         raise GameError("no symmetric equilibria supplied; statistic inconclusive")
     if m < 1:
         raise GameError("player count must be positive")
+    for profile in symmetric_profiles:
+        _check_distribution(profile)
     return min(sum(v**m for v in profile) for profile in symmetric_profiles)
 
 

@@ -579,5 +579,13 @@ class TestRatioCheck:
     def test_player_count_mismatch(self):
         rule = imbalanced_rps(3, 1)
         profile = symmetric_profile((0.3, 0.5, 0.2), 4)
-        with pytest.raises(GameError, match="does not match"):
+        with pytest.raises(GameError, match="profile has 4 players, game has 3"):
+            ptype_to_s_ratio_check(rule, profile)
+
+    @pytest.mark.parametrize("vector", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_vector_length_mismatch(self, vector):
+        # Both once raised IndexError from the P-type sums.
+        rule = imbalanced_rps(3, 1)
+        profile = symmetric_profile(vector, 3)
+        with pytest.raises(GameError, match=f"profile has {len(vector)} entries for 3 objects"):
             ptype_to_s_ratio_check(rule, profile)

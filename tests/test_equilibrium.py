@@ -1,14 +1,18 @@
 """Equilibrium computation: exact payoffs, the symmetric solver, and the
 seeded search.
 
-``_uniform_support_equilibria`` must equal, as a set, a brute force over
-every ordered profile of supports that checks each player's best set with
-exact ``expected_payoff`` values, and must hold, within 1e-6, every profile
-that damped best response (the search's former asymmetric stage, kept here
-as a test-side loop) keeps.  Sha256 pins of ``search_equilibria``
-output cover the benchmark's six search games.  Supports that
-``_gaps_keep_a_sign`` skips must hold nothing the unguarded scan or Newton
-would find.
+``_payoff_table`` holds every payoff of a game once, as integers over one
+common scale, and its float view must equal each exact payoff converted to
+float, bit for bit.  ``_uniform_support_equilibria`` must equal, as a set,
+a brute force over every ordered profile of supports that checks each
+player's best set with exact ``expected_payoff`` values, and must hold,
+within 1e-6, every profile that damped best response (the search's former
+asymmetric stage, kept here as a test-side loop) keeps.  Sha256 pins of
+``search_equilibria`` output cover the benchmark's six search games.
+Supports that ``_gaps_keep_a_sign`` proves root-free from the exact payoff
+differences must hold nothing the scan or Newton would find, the search
+must root exactly the supports it leaves, and its verdicts on a seeded
+batch are pinned.
 """
 
 import hashlib
@@ -26,11 +30,11 @@ from conftest import random_table_rule
 
 from rps_forge import equilibrium
 from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, odd_one_out
-from rps_forge.core import GameError
+from rps_forge.core import GameError, enumerate_multisets
 from rps_forge.equilibrium import (
     MixedProfile,
     SearchConfig,
-    _pure_payoff_cache,
+    _payoff_table,
     _uniform_support_equilibria,
     choice_count_distribution,
     classify_playability,
@@ -42,6 +46,18 @@ from rps_forge.equilibrium import (
     symmetric_profile,
     uniform_profile,
 )
+
+
+def float_rows(rule):
+    """The search's float view of ``_payoff_table``: each x / scale."""
+    rows, scale = _payoff_table(rule)
+    return {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
+
+
+def uniform_support_equilibria(rule):
+    """``_uniform_support_equilibria`` on the integer rows of ``rule``'s table."""
+    return _uniform_support_equilibria(rule, _payoff_table(rule)[0])
+
 
 TABLE_ROWS = {
     3: (0.324, 0.473, 0.202),
@@ -320,7 +336,7 @@ class TestBracketing:
         # replaces lo, so each root lands on its bracket's upper end.
         rule = odd_one_out(2)
         got = equilibrium._symmetric_support_candidates(
-            rule, (0, 1), _pure_payoff_cache(rule), random.Random(0)
+            rule, (0, 1), float_rows(rule), random.Random(0)
         )
         assert got == [(i / 128, 1 - i / 128) for i in range(1, 129)]
 
@@ -472,8 +488,8 @@ class TestSearch:
         # Newton roots the full support of imbalanced3 m=2 at a float point
         # within 1e-6 of (1/3, 1/3, 1/3), which the enumeration finds exactly.
         rule = imbalanced_rps3(2)
-        cache = _pure_payoff_cache(rule)
-        roots = equilibrium._symmetric_support_candidates(rule, (0, 1, 2), cache, random.Random(5))
+        rows = float_rows(rule)
+        roots = equilibrium._symmetric_support_candidates(rule, (0, 1, 2), rows, random.Random(5))
         assert roots and all(max(abs(p - 1 / 3) for p in v) < 1e-6 for v in roots)
         found = search_equilibria(rule, SearchConfig(seed=5))
         assert [p.vectors for p, _ in found] == [((Fraction(1, 3),) * 3,) * 2]
@@ -561,7 +577,7 @@ class TestUniformSupportEquilibria:
     @pytest.mark.parametrize("name", sorted(ENUMERATION_GAMES))
     def test_equals_ordered_brute_force(self, name):
         rule = ENUMERATION_GAMES[name]
-        got = _uniform_support_equilibria(rule)
+        got = uniform_support_equilibria(rule)
         assert len(set(got)) == len(got)
         assert set(got) == ordered_uniform_support_equilibria(rule)
 
@@ -590,7 +606,7 @@ def _with_random_tables(base: dict, seed: int) -> dict:
     return games
 
 
-def _payoff_rows(rule, cache):
+def _payoff_rows(rule, floats):
     """``rows[o][j]``: payoff of own object ``o`` against the j-th ordered
     tuple of opponent objects, tuples in ``itertools.product`` order."""
     keys = []
@@ -599,7 +615,7 @@ def _payoff_rows(rule, cache):
         for o in picks:
             counts[o] += 1
         keys.append(tuple(counts))
-    return [[cache[counts][o] for counts in keys] for o in range(rule.n)]
+    return [[floats[counts][o] for counts in keys] for o in range(rule.n)]
 
 
 def best_response_profiles(rule, starts, rng, damping=0.5, sweeps=10_000):
@@ -615,7 +631,7 @@ def best_response_profiles(rule, starts, rng, damping=0.5, sweeps=10_000):
     alone, so an exact repeat replays the same sweeps forever.
     """
     m, n = rule.m, rule.n
-    rows = _payoff_rows(rule, _pure_payoff_cache(rule))
+    rows = _payoff_rows(rule, float_rows(rule))
     opponents = [[j for j in range(m) if j != i] for i in range(m)]
     results = []
     for _ in range(starts):
@@ -683,7 +699,7 @@ class TestBestResponseOracle:
     def test_profiles_equal_reference(self, name):
         rule = ORACLE_GAMES[name]
         kept = best_response_profiles(rule, 6, random.Random(sum(map(ord, name))))
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     @pytest.mark.parametrize("name", ORACLE_GAMES_SMALL)
     def test_search_equals_reference(self, name):
@@ -704,7 +720,7 @@ class TestBestResponseOracle:
         kept = best_response_profiles(rule, 6, random.Random(max_iter), damping, max_iter)
         assert kept == []
         want = [THIRDS * 2] if name == "imbalanced3 m=2" else []
-        assert _uniform_support_equilibria(rule) == want
+        assert uniform_support_equilibria(rule) == want
 
 
 LOCKSTEP_GAMES = {**ORACLE_GAMES, **CYCLING_GAMES}
@@ -729,7 +745,7 @@ class TestLockstepOracle:
         rule = LOCKSTEP_GAMES[name]
         starts = 200 if rule.m * rule.n <= 12 else 20
         kept = best_response_profiles(rule, starts, random.Random(sum(map(ord, name))))
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     @pytest.mark.parametrize(
         "name, damping, starts", [("table m=4 n=3 #0", 1.0, 40), ("table m=4 n=4 #0", 0.3, 10)]
@@ -740,7 +756,7 @@ class TestLockstepOracle:
         rule = ORACLE_GAMES[name]
         kept = best_response_profiles(rule, starts, random.Random(sum(map(ord, name))), damping)
         assert 0 < len(kept) < starts
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     @pytest.mark.parametrize("damping", [1.0, 0.3])
     @pytest.mark.parametrize("max_iter", [1, 2, 10_000])
@@ -749,7 +765,7 @@ class TestLockstepOracle:
     def test_edges_equal_scalar_loop(self, name, starts, max_iter, damping):
         rule = EDGE_GAMES[name]
         kept = best_response_profiles(rule, starts, random.Random(starts), damping, max_iter)
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
         if starts == 0:
             assert kept == []
 
@@ -783,14 +799,14 @@ class TestSettleSkip:
     @pytest.mark.parametrize("name", sorted(NEVER_SETTLE))
     def test_skipped_where_no_start_can_settle(self, name):
         rule = NEVER_SETTLE[name]
-        assert _uniform_support_equilibria(rule) == []
+        assert uniform_support_equilibria(rule) == []
         found = search_equilibria(rule, SearchConfig(seed=1))
         assert found and all(p.symmetric for p, _ in found)
 
     def test_settling_games_still_run_best_response(self, search_workload_games):
         games = [imbalanced_rps3(2)] + [game for game, _ in search_workload_games[1:]]
         for game in games:
-            enumerated = _uniform_support_equilibria(game)
+            enumerated = uniform_support_equilibria(game)
             found = {p.vectors for p, _ in search_equilibria(game, SearchConfig(seed=1))}
             assert enumerated and set(enumerated) <= found, game.construction
 
@@ -840,7 +856,7 @@ class TestSettleOracle:
             for seed in range(3)
             for profile in best_response_profiles(rule, 6, random.Random(seed), damping)
         ]
-        enumerated = _uniform_support_equilibria(rule)
+        enumerated = uniform_support_equilibria(rule)
         assert_near(kept, enumerated)
         if name in NEVER_SETTLE:
             assert not kept and not enumerated
@@ -852,7 +868,7 @@ class TestSettleOracle:
         # containment proof, and none is enumerated.
         rule = imbalanced_rps3(3)
         assert _smallest_miss(rule) == Fraction(2, 3)
-        assert _uniform_support_equilibria(rule) == []
+        assert uniform_support_equilibria(rule) == []
         assert _smallest_miss(maximal_rps3(3)) == 0
 
 
@@ -865,7 +881,7 @@ class TestLockInOracle:
     def test_profiles_equal_scalar_loop(self, name, damping):
         rule = SETTLE_ORACLE_GAMES[name]
         kept = best_response_profiles(rule, 10, random.Random(sum(map(ord, name))), damping)
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     @pytest.mark.parametrize("damping", [1.0, 0.5, 0.3, 0.1])
     def test_lock_in_fires_across_the_batch(self, damping):
@@ -875,7 +891,7 @@ class TestLockInOracle:
             if not name.startswith(("random", "maximal3", "odd-one-out")):
                 continue
             kept = best_response_profiles(rule, 10, random.Random(sum(map(ord, name))), damping)
-            assert_near(kept, _uniform_support_equilibria(rule))
+            assert_near(kept, uniform_support_equilibria(rule))
             by_players[rule.m] = by_players.get(rule.m, 0) + len(kept)
         assert all(by_players[m] > 10 for m in (2, 3, 4)), by_players
 
@@ -885,7 +901,7 @@ class TestLockInOracle:
         rule = random_table_rule(random.Random(42), 3, 4)
         kept = best_response_profiles(rule, 10, random.Random(42), 1.0)
         assert kept
-        assert_near(kept, _uniform_support_equilibria(rule), tol=0.0)
+        assert_near(kept, uniform_support_equilibria(rule), tol=0.0)
 
     @pytest.mark.parametrize("name", ["maximal3 m=3", "odd-one-out m=4"])
     def test_locked_starts_skip_payoffs(self, name):
@@ -893,14 +909,14 @@ class TestLockInOracle:
         rule = ORACLE_GAMES[name]
         kept = best_response_profiles(rule, 200, random.Random(1))
         assert len(kept) == 200
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     def test_terms_in_two_opponents_can_decide(self):
         # Four players: each payoff sums terms in three opponents' vectors.
         rule = ORACLE_GAMES["table m=4 n=3 #0"]
         kept = best_response_profiles(rule, 30, random.Random(383), 0.3, 400)
         assert len(kept) == 30
-        assert_near(kept, _uniform_support_equilibria(rule))
+        assert_near(kept, uniform_support_equilibria(rule))
 
     @pytest.mark.parametrize(
         "damping, max_iter, kept",
@@ -915,7 +931,7 @@ class TestLockInOracle:
         rule = ORACLE_GAMES["maximal3 m=3"]
         got = best_response_profiles(rule, 30, random.Random(max_iter), damping, max_iter)
         assert len(got) == kept
-        assert_near(got, _uniform_support_equilibria(rule))
+        assert_near(got, uniform_support_equilibria(rule))
 
 
 EXCLUSION_GAMES = _with_random_tables(ORACLE_GAMES, 20261020)
@@ -929,9 +945,9 @@ def _excluded_supports(games):
     return {
         (name, support)
         for name, rule in games.items()
-        for cache in [_pure_payoff_cache(rule)]
+        for rows, scale in [_payoff_table(rule)]
         for support in _supports(rule.n)
-        if equilibrium._gaps_keep_a_sign(rule, support, cache)
+        if equilibrium._gaps_keep_a_sign(rule, support, rows, scale)
     }
 
 
@@ -947,56 +963,95 @@ def _bernstein_value(coeffs, mu, degree):
     return total
 
 
-def _exact_gaps(rule, support, cache, point):
+def _exact_gaps(rule, support, point):
     """u_o - u_last on ``support`` against opponents all mixing by ``point``,
-    from the count distribution and the exact values of the float rows."""
+    by exact ``expected_payoff``."""
     v = [Fraction(0)] * rule.n
     for o, p in zip(support, point):
         v[o] = p
-    u = [Fraction(0)] * rule.n
-    for counts, pr in choice_count_distribution([tuple(v)] * (rule.m - 1), rule.n).items():
-        for o, r in enumerate(cache[counts]):
-            u[o] += pr * Fraction(r)
-    return [u[o] - u[support[-1]] for o in support[:-1]]
+    profile = symmetric_profile(v, rule.m)
+    u = [expected_payoff(rule, profile, 0, o) for o in support]
+    return [x - u[-1] for x in u[:-1]]
+
+
+TABLE_GAMES = _with_random_tables(NAMED_GAMES, 20261022)
+
+
+class TestPayoffTable:
+    """``_payoff_table`` holds every payoff once, exactly; the search's
+    float view of it must be what converting each exact payoff gives."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_GAMES))
+    def test_float_view_is_the_float_payoff(self, name):
+        rule = TABLE_GAMES[name]
+        rows, scale = _payoff_table(rule)
+        assert scale in (1, 2, 3)
+        assert list(rows) == [counts for counts, _ in enumerate_multisets(rule.n, rule.m - 1)]
+        for counts, row in rows.items():
+            exact = [equilibrium._payoff_against(rule, o, counts) for o in range(rule.n)]
+            assert [Fraction(x, scale) for x in row] == exact
+            assert [(x / scale).hex() for x in row] == [float(e).hex() for e in exact]
+
+    def test_scale_is_the_common_denominator(self):
+        # m = 2 pays 1 to a sole winner, m = 3 pays 1/2 to each of two
+        # winners, and m = 4 pays 1/3 to each of three.
+        assert [_payoff_table(imbalanced_rps3(m))[1] for m in (2, 3, 4)] == [1, 2, 3]
 
 
 class TestSupportExclusion:
-    """``_gaps_keep_a_sign`` skips a symmetric support whose payoff
-    differences provably never all vanish; the scan or Newton it skips
-    must find nothing there."""
+    """``_gaps_keep_a_sign`` proves, from the exact payoff differences, that
+    a symmetric support's differences never all vanish; the search then
+    skips it, and the scan or Newton must find nothing there."""
 
     @pytest.mark.parametrize("name", sorted(EXCLUSION_GAMES))
-    def test_excluded_supports_hold_no_root(self, name, monkeypatch):
+    def test_excluded_supports_hold_no_root(self, name):
         rule = EXCLUSION_GAMES[name]
-        cache = _pure_payoff_cache(rule)
+        rows, scale = _payoff_table(rule)
+        floats = float_rows(rule)
         for support in _supports(rule.n):
-            if not equilibrium._gaps_keep_a_sign(rule, support, cache):
+            if not equilibrium._gaps_keep_a_sign(rule, support, rows, scale):
                 continue
-            candidates = equilibrium._symmetric_support_candidates
             rng = random.Random(repr(support))
-            assert candidates(rule, support, cache, rng) == []
-            with monkeypatch.context() as patch:
-                patch.setattr(equilibrium, "_gaps_keep_a_sign", lambda *args: False)
-                unguarded = random.Random(repr(support))
-                assert candidates(rule, support, cache, unguarded) == []
+            assert equilibrium._symmetric_support_candidates(rule, support, floats, rng) == []
+
+    def test_search_walk_skips_excluded_supports(self, search_workload_games, monkeypatch):
+        # The guard sits in the search's support walk: the root finding runs
+        # on exactly the supports the exclusion leaves.
+        walked = []
+        candidates = equilibrium._symmetric_support_candidates
+        monkeypatch.setattr(
+            equilibrium,
+            "_symmetric_support_candidates",
+            lambda rule, support, *args: walked.append(support) or candidates(rule, support, *args),
+        )
+        for game, seed in search_workload_games:
+            walked.clear()
+            search_equilibria(game, SearchConfig(seed=seed))
+            rows, scale = _payoff_table(game)
+            left = [
+                s for s in _supports(game.n) if not equilibrium._gaps_keep_a_sign(game, s, rows, scale)
+            ]
+            assert walked == left, game.construction
 
     @pytest.mark.parametrize("gap, excluded", [(5e-13, False), (1e-6, True)])
     def test_gaps_within_the_root_tolerance_are_kept(self, gap, excluded):
-        # Payoff rows with u_0 - u_2 = u_1 - u_2 = gap against every
+        # A table with u_0 - u_2 = u_1 - u_2 = gap = 1 / scale against every
         # opponent: Newton takes any point with all gaps below 1e-12 as a
         # root, so only a gap beyond that, plus the float margin, may
         # exclude the support.
         rule = imbalanced_rps3(2)
-        cache = {counts: (gap, gap, 0.0) for counts in _pure_payoff_cache(rule)}
+        scale = round(1 / gap)
+        rows = {counts: (1, 1, 0) for counts in _payoff_table(rule)[0]}
+        floats = {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
         support = (0, 1, 2)
-        assert equilibrium._gaps_keep_a_sign(rule, support, cache) == excluded
-        found = equilibrium._symmetric_support_candidates(rule, support, cache, random.Random(0))
+        assert equilibrium._gaps_keep_a_sign(rule, support, rows, scale) == excluded
+        found = equilibrium._symmetric_support_candidates(rule, support, floats, random.Random(0))
         assert (found == []) == excluded
 
     def test_batch_reach(self):
         excluded = {
             size: sum(
-                equilibrium._gaps_keep_a_sign(rule, s, _pure_payoff_cache(rule))
+                equilibrium._gaps_keep_a_sign(rule, s, *_payoff_table(rule))
                 for rule in EXCLUSION_GAMES.values()
                 for s in _supports(rule.n)
                 if len(s) == size
@@ -1004,6 +1059,15 @@ class TestSupportExclusion:
             for size in (2, 3, 4)
         }
         assert all(excluded[size] > 0 for size in (2, 3, 4)), excluded
+
+    def test_exclusion_verdicts_are_pinned(self):
+        # 250 of the batch's 464 supports, the same ones as when the proof
+        # read Fractions of the float rows.
+        excluded = _excluded_supports(EXCLUSION_GAMES)
+        assert sum(len(_supports(rule.n)) for rule in EXCLUSION_GAMES.values()) == 464
+        assert len(excluded) == 250
+        digest = hashlib.sha256(repr(sorted(excluded)).encode()).hexdigest()
+        assert digest == "69b45705189ea601894c2e9dea20b725f4b18f0f0c0d0f5a3683f767e1646a17"
 
     def test_subdivision_reaches_past_the_root_cell(self, monkeypatch):
         # Halving the face proves supports of every size that the whole
@@ -1022,12 +1086,12 @@ class TestSupportExclusion:
         # 16 two-object supports.
         pairs = 0
         for game, _ in search_workload_games:
-            cache = _pure_payoff_cache(game)
+            rows, scale = _payoff_table(game)
             pairs += sum(
-                equilibrium._gaps_keep_a_sign(game, pair, cache)
+                equilibrium._gaps_keep_a_sign(game, pair, rows, scale)
                 for pair in combinations(range(game.n), 2)
             )
-            full = equilibrium._gaps_keep_a_sign(game, tuple(range(game.n)), cache)
+            full = equilibrium._gaps_keep_a_sign(game, tuple(range(game.n)), rows, scale)
             holds_root = game.construction in ("imbalanced3 m=3", "odd-one-out m=4")
             assert full != holds_root, game.construction
         assert pairs == 12
@@ -1041,9 +1105,10 @@ class TestSupportExclusion:
         ids=["imbalanced3 m=2", "imbalanced3 m=3", "imbalanced3 m=4", "odd-one-out m=4"],
     )
     def test_supports_holding_a_root_are_kept(self, rule, support):
-        cache = _pure_payoff_cache(rule)
-        assert not equilibrium._gaps_keep_a_sign(rule, support, cache)
-        found = equilibrium._symmetric_support_candidates(rule, support, cache, random.Random(0))
+        assert not equilibrium._gaps_keep_a_sign(rule, support, *_payoff_table(rule))
+        found = equilibrium._symmetric_support_candidates(
+            rule, support, float_rows(rule), random.Random(0)
+        )
         assert found
 
     @pytest.mark.parametrize(
@@ -1052,14 +1117,15 @@ class TestSupportExclusion:
     def test_halves_keep_the_polynomial(self, name):
         # Seeded halvings, either vertex order, down to a cell four deep:
         # its coefficients over their scale, at seeded rational points of
-        # the cell, equal the payoff differences at the same face point.
+        # the cell, equal the exact payoff differences at the same face point.
         rule = ORACLE_GAMES[name]
-        cache = _pure_payoff_cache(rule)
+        rows, table_scale = _payoff_table(rule)
         degree = rule.m - 1
         rng = random.Random(name)
         for support in _supports(rule.n):
             size = len(support)
-            coeffs, scale = equilibrium._face_coefficients(rule, support, cache)
+            coeffs = equilibrium._face_coefficients(rule, support, rows)
+            scale = table_scale
             verts = [[Fraction(int(k == v)) for k in range(size)] for v in range(size)]
             for _ in range(4):
                 i, j = rng.sample(range(size), 2)
@@ -1073,7 +1139,7 @@ class TestSupportExclusion:
                 mu = [Fraction(r, sum(raw)) for r in raw]
                 point = [sum(w * v[k] for w, v in zip(mu, verts)) for k in range(size)]
                 got = [x / scale for x in _bernstein_value(coeffs, mu, degree)]
-                assert got == _exact_gaps(rule, support, cache, point), (support, point)
+                assert got == _exact_gaps(rule, support, point), (support, point)
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 6])
     def test_gaps_vanishing_at_a_vertex_give_up_at_the_cap(self, depth, monkeypatch):
@@ -1082,18 +1148,18 @@ class TestSupportExclusion:
         # so halving never proves it, and the prover stops at the cap.
         rule = imbalanced_rps3(3)
         rng = random.Random(depth)
-        cache = {
-            counts: tuple(rng.choice((-1.0, 2.0)) for _ in range(3))
-            for counts in _pure_payoff_cache(rule)
+        rows = {
+            counts: tuple(rng.choice((-2, 4)) for _ in range(3))
+            for counts in _payoff_table(rule)[0]
         }
-        cache[0, 2, 0] = (0.5, 0.5, 0.5)
+        rows[0, 2, 0] = (1, 1, 1)
         halvings = []
         halves = equilibrium._face_halves
         monkeypatch.setattr(equilibrium, "_EXCLUSION_DEPTH", depth)
         monkeypatch.setattr(
             equilibrium, "_face_halves", lambda *args: halvings.append(args) or halves(*args)
         )
-        assert not equilibrium._gaps_keep_a_sign(rule, (0, 1, 2), cache)
+        assert not equilibrium._gaps_keep_a_sign(rule, (0, 1, 2), rows, 2)
         assert depth <= len(halvings) <= 2**depth - 1
 
 

@@ -128,15 +128,29 @@ class TestNashStatistics:
         assert nash_ties_imbalance([(0, 1, 0)], 5) == 1
 
     def test_ties_solved_row(self):
-        row = (0.324, 0.473, 0.202)
+        # The published row sums to 0.999, so it is taken over its sum.
+        row = tuple(x / 0.999 for x in (0.324, 0.473, 0.202))
         got = nash_ties_imbalance([row], 3)
-        assert got == pytest.approx(0.324**3 + 0.473**3 + 0.202**3)
+        assert got == pytest.approx((0.324**3 + 0.473**3 + 0.202**3) / 0.999**3)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(GameError):
             nash_entropy_imbalance([])
         with pytest.raises(GameError):
             nash_ties_imbalance([], 3)
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            # (0.5, 0.7) once returned 0.468.
+            ((0.5, 0.7), "probabilities sum to 1.2"),
+            ((-0.5, 1.5), "negative probability"),
+            ((math.nan, 0.5, 0.5), "non-finite probability"),
+        ],
+    )
+    def test_ties_rejects_non_distributions(self, vector, message):
+        with pytest.raises(GameError, match=message):
+            nash_ties_imbalance([(Fraction(1, 3),) * 3, vector], 3)
 
 
 class TestMajorizes:
