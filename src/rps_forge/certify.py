@@ -346,6 +346,8 @@ def sweep(
         raise ScenarioError("need k_max >= 1 and t_max >= 0")
     if jobs < 1:
         raise ScenarioError(f"jobs must be >= 1, got {jobs}")
+    if not 0 <= budget_seconds < float("inf"):  # a NaN budget never runs out
+        raise ScenarioError(f"budget_seconds must be nonnegative and finite, got {budget_seconds}")
     delta = Fraction(delta)
     pairs = [(k, t) for k in range(1, k_max + 1) for t in range(0, t_max + 1)]
     done = _read_stream(stream, decimal_string(delta)) if stream else {}

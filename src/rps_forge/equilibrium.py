@@ -8,9 +8,10 @@ three-object family, where the symmetric equilibrium (r, p, s) satisfies
 and the interior solution is isolated by nested bracketed bisection.
 Everything else is desk-scale numerics: exact expectation by multiset
 convolution, deviation-gap verification, and a search that enumerates
-the exact uniform-support equilibria and roots symmetric supports from
-seeded starts, whose outputs are only ever reported after independent
-verification.
+the exact uniform-support equilibria and roots each symmetric support by
+Newton from a seeded start in every cell where an exact exclusion test
+cannot rule a root out; its outputs are only ever reported after
+independent verification.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ _DEDUP = 1e-6  # the search keeps one verified candidate within each sup distanc
 
 _SUPPORT_TOL = 1e-9  # a player plays an object when its probability exceeds this
 
-# Newton on a symmetric support runs from the centre and _NEWTON_STARTS
-# random points; _gaps_keep_a_sign halves a support's face at most
-# _EXCLUSION_DEPTH times along any path before it gives up.
-_NEWTON_STARTS = 24
+# _unproved_cells halves a support's face at most _EXCLUSION_DEPTH times
+# along any path before it leaves a cell to Newton.
 _EXCLUSION_DEPTH = 6
 
 
@@ -443,17 +442,20 @@ def _face_halves(
     return first, second
 
 
-def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scale: int) -> bool:
-    """Whether the payoff differences on ``support`` provably never all
-    come within 1e-12 of zero, so neither the scan nor Newton can return
-    a root.  ``rows`` and ``scale`` are ``_payoff_table``'s.
+def _unproved_cells(
+    rule: GameRule, support: tuple[int, ...], rows: dict, scale: int
+) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """The cells of ``support``'s face where the payoff differences may all
+    come within 1e-12 of zero, as ``(halvings, vertices)``, vertices in the
+    face's barycentric coordinates times 2^halvings; elsewhere Newton can
+    return no root.  ``rows`` and ``scale`` are ``_payoff_table``'s.
 
     On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) / scale over
     opponent counts c, D_c[k] = row_c[s_k] - row_c[last] exactly, with the
     Bernstein basis B_c >= 0 summing to 1.  If sigma . D_c / scale >
     |sigma|_1 (1e-12 + err) for all c, for some sigma in {-1, 0, 1}^(size
     - 1), so does sigma . f, hence max |f_k| > 1e-12 + err.  ``err`` bounds
-    how far the float ``diffs`` lie from f: the float rows x / scale
+    how far Newton's float ``diffs`` lie from f: the float rows x / scale
     round each payoff by at most 2^-53 rmax, so each difference by
     2^-52 rmax, and the sums add their own float error (for m <= 4,
     n <= 5).
@@ -463,14 +465,14 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scal
     the same degree in the cell's own barycentric coordinates, and the same
     test on its coefficients gives the same bound at every point of the
     cell.  Coefficients are exact integers, the face's times 2^(m - 1) per
-    halving, and the margin is scaled alike.  The support is excluded when
-    every cell passes; the first cell that fails after _EXCLUSION_DEPTH
-    halvings ends the proof with False.  The cells cover the face.  Every
-    point the scan or Newton evaluates, rescaled to sum 1, lies on the face
-    and so in a proved cell.  f is homogeneous of degree m - 1 in the
-    barycentric coordinates, so the rescaling changes it by a factor within
-    rounding of 1, which ``err`` covers with the rest of the float error of
-    ``diffs``.  So no point they look at is a root.
+    halving, and the margin is scaled alike.  A cell that still fails after
+    _EXCLUSION_DEPTH halvings is returned, and the walk goes on.  The cells
+    cover the face, and every point Newton evaluates, rescaled to sum 1,
+    lies on it.  f is homogeneous of degree m - 1 in the barycentric
+    coordinates, so the rescaling changes it by a factor within rounding
+    of 1, which ``err`` covers with the rest of the float error of
+    ``diffs``.  So no point Newton evaluates outside the returned cells is
+    a root.
     """
     size, degree = len(support), rule.m - 1
     coeffs = _face_coefficients(rule, support, rows)
@@ -487,94 +489,87 @@ def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scal
                 return True
         return False
 
-    # (halvings, vertices in the face's barycentric coordinates times
-    # 2^halvings, coefficients), depth first
+    unproved = []
+    # (halvings, vertices, coefficients), depth first
     cells = [(0, [tuple(int(k == v) for k in range(size)) for v in range(size)], coeffs)]
     while cells:
         depth, verts, coeffs = cells.pop()
         if keeps_a_sign(coeffs, degree * depth):
             continue
         if depth >= _EXCLUSION_DEPTH:
-            return False
+            unproved.append((depth, verts))
+            continue
         i, j = max(edges, key=lambda e: sum((x - y) ** 2 for x, y in zip(verts[e[0]], verts[e[1]])))
         mid = tuple(map(add, verts[i], verts[j]))
         verts = [tuple(2 * x for x in v) for v in verts]
         first, second = _face_halves(coeffs, i, j, degree)
         cells.append((depth + 1, verts[:j] + [mid] + verts[j + 1 :], first))
         cells.append((depth + 1, verts[:i] + [mid] + verts[i + 1 :], second))
-    return True
+    return unproved
+
+
+def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scale: int) -> bool:
+    """Whether ``_unproved_cells`` proves all of ``support``'s face, so that
+    the support holds no symmetric root."""
+    return not _unproved_cells(rule, support, rows, scale)
+
+
+def _cell_starts(cells: list[tuple[int, list]], rng: random.Random) -> list[list[float]]:
+    """One seeded random point of each of ``_unproved_cells``'s cells, in
+    the face's barycentric coordinates: ``_random_simplex`` weights over
+    the cell's vertices."""
+    starts = []
+    for depth, verts in cells:
+        weights = _random_simplex(rng, len(verts))
+        starts.append([sum(map(mul, weights, col)) / (1 << depth) for col in zip(*verts)])
+    return starts
 
 
 def _symmetric_support_candidates(
-    rule: GameRule, support: tuple[int, ...], rows: dict, rng: random.Random
+    rule: GameRule, support: tuple[int, ...], rows: dict, starts: list[list[float]]
 ) -> list[tuple[float, ...]]:
     """Symmetric profiles supported on ``support``, of two objects or more,
-    equalizing the float payoff ``rows`` there."""
-    n, size = rule.n, len(support)
+    equalizing the float payoff ``rows`` there: damped Newton with a
+    numerical Jacobian from each of ``starts``, points of the face in its
+    barycentric coordinates."""
+    n, d = rule.n, len(support) - 1
 
-    def lift(x: Sequence[float]) -> tuple[float, ...]:
-        tot = sum(x)  # a root is normalised once, here
+    def place(x: Sequence[float]) -> list[float]:
         v = [0.0] * n
         for o, p in zip(support, x):
-            v[o] = p / tot
-        return tuple(v)
+            v[o] = p
+        return v
 
     def diffs(x: list[float]) -> list[float]:
-        v = [0.0] * n
-        for o, p in zip(support, x + [1.0 - sum(x)]):
-            v[o] = p
-        u = _opponent_payoffs(rule, rows, [v] * (rule.m - 1))
+        u = _opponent_payoffs(rule, rows, [place(x + [1.0 - sum(x)])] * (rule.m - 1))
         last = u[support[-1]]
         return [u[o] - last for o in support[:-1]]
 
-    if size == 2:
-        def gap(x: float) -> float:
-            return diffs([x])[0]
-
-        out = []
-        grid = 128
-        for lo, glo, hi in _sign_changes(gap, (i / grid for i in range(grid + 1))):
-            root = _bisect(lambda x: (gap(x) > 0) == (glo > 0), lo, hi, 100)
-            out.append(lift([root, 1.0 - root]))
-        return out
-
-    # size >= 3: damped Newton with numerical Jacobian, multistart
     found: list[tuple[float, ...]] = []
-    starts: list[list[float]] = [[1.0 / size] * (size - 1)]
-    for _ in range(_NEWTON_STARTS):
-        starts.append(_random_simplex(rng, size)[:-1])
     h = 1e-7
-    for x in starts:
-        x = x[:]
-        ok = False
+    for start in starts:
+        x = start[:d]
         for _ in range(120):
             f0 = diffs(x)
-            if max(abs(v) for v in f0) < 1e-12:
-                ok = True
+            if max(map(abs, f0)) < 1e-12:
+                xs = x + [1.0 - sum(x)]
+                if all(p > 1e-12 for p in xs):  # a root is normalised once, here
+                    found.append(tuple(place([p / sum(xs) for p in xs])))
                 break
-            jac = []
-            for j in range(size - 1):
-                xj = x[:]
-                xj[j] += h
-                fj = diffs(xj)
-                jac.append([(fj[i] - f0[i]) / h for i in range(size - 1)])
-            jac_t = [[jac[j][i] for j in range(size - 1)] for i in range(size - 1)]
-            step = _solve_linear(jac_t, [-v for v in f0])
+            cols = [diffs(x[:j] + [x[j] + h] + x[j + 1 :]) for j in range(d)]
+            jac = [[(fj[i] - f0[i]) / h for fj in cols] for i in range(d)]
+            step = _solve_linear(jac, [-v for v in f0])
             if step is None:
                 break
             scale = 1.0
             for _ in range(40):
-                trial = [x[j] + scale * step[j] for j in range(size - 1)]
+                trial = [x[j] + scale * step[j] for j in range(d)]
                 if all(t > 1e-12 for t in trial) and sum(trial) < 1.0 - 1e-12:
                     break
                 scale *= 0.5
             else:
                 break
-            x = [x[j] + scale * step[j] for j in range(size - 1)]
-        if ok:
-            xs = x + [1.0 - sum(x)]
-            if all(p > 1e-12 for p in xs):
-                found.append(lift(xs))
+            x = trial
     return found
 
 
@@ -648,10 +643,10 @@ def search_equilibria(
     Builds ``_payoff_table`` once; each stage reads one view of it.  Takes,
     in this order, the exact uniform-support equilibria of
     ``_uniform_support_equilibria``, which reads the integer rows, and the
-    float roots of symmetric per-support root finding on the float rows
-    x / scale, on supports of two objects or more, skipping supports where
-    ``_gaps_keep_a_sign`` proves from the exact payoff differences that
-    there is none; the seed drives the root finding's Newton starts.
+    float roots Newton finds on the float rows x / scale, on each support
+    of two objects or more, from one seeded start in each cell where
+    ``_unproved_cells`` cannot prove from the exact payoff differences
+    that there is none.
     Every candidate must pass the deviation-gap check at ``config.eps``;
     survivors are deduplicated within sup distance ``_DEDUP``, so an exact
     profile is the one reported where a float root lies that close to it.
@@ -666,8 +661,9 @@ def search_equilibria(
         (v,) * rule.m
         for size in range(2, rule.n + 1)
         for support in combinations(range(rule.n), size)
-        if not _gaps_keep_a_sign(rule, support, rows, scale)
-        for v in _symmetric_support_candidates(rule, support, floats, rng)
+        for v in _symmetric_support_candidates(
+            rule, support, floats, _cell_starts(_unproved_cells(rule, support, rows, scale), rng)
+        )
     ]
 
     verified: list[tuple[MixedProfile, NashGapReport]] = []

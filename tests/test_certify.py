@@ -2,7 +2,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +451,11 @@ class TestSweep:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ScenarioError, match="jobs"):
             sweep(1, 0, jobs=0)
+
+    @pytest.mark.parametrize("budget", [nan, inf, -inf, -1.0])
+    def test_budget_must_be_nonnegative_and_finite(self, budget):
+        with pytest.raises(ScenarioError, match="budget_seconds"):
+            sweep(1, 0, budget_seconds=budget)
 
     def test_stream_resumes_an_exhausted_budget(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")

@@ -17,9 +17,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 def run_json(capsys, *argv):
+    """``main`` with JSON output, parsed strictly: NaN and Infinity fail."""
     code, out, err = run_cli(capsys, "--format", "json", *argv)
-    return code, (json.loads(out) if out.strip() else None), err
+    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None), err
 
 
 class TestBuild:
@@ -378,6 +383,16 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
         assert "jobs" in err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_sweep_rejects_bad_budget(self, capsys, budget):
+        # A NaN budget never ran out, and NaN or inf was echoed as a
+        # constant that is not JSON.
+        code, out, err = run_cli(
+            capsys, "verify", "sweep", "--kmax", "2", "--tmax", "1", "--budget", budget
+        )
+        assert code == EXIT_USAGE
+        assert "budget_seconds must be nonnegative and finite" in err and not out
 
     def test_sweep_stream_lines_are_the_records(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"

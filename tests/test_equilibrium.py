@@ -10,9 +10,9 @@ within 1e-6, every profile that damped best response (the search's former
 asymmetric stage, kept here as a test-side loop) keeps.  Sha256 pins of
 ``search_equilibria`` output cover the benchmark's six search games.
 Supports that ``_gaps_keep_a_sign`` proves root-free from the exact payoff
-differences must hold nothing the scan or Newton would find, the search
-must root exactly the supports it leaves, and its verdicts on a seeded
-batch are pinned.
+differences must hold nothing Newton finds from starts spread over the
+whole face, the search must start Newton once in each cell that
+``_unproved_cells`` leaves, and the verdicts on a seeded batch are pinned.
 """
 
 import hashlib
@@ -52,6 +52,19 @@ def float_rows(rule):
     """The search's float view of ``_payoff_table``: each x / scale."""
     rows, scale = _payoff_table(rule)
     return {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
+
+
+def cell_starts(rule, support, rng):
+    """The search's Newton starts on ``support``: one seeded point in each
+    of its unproved cells."""
+    cells = equilibrium._unproved_cells(rule, support, *_payoff_table(rule))
+    return equilibrium._cell_starts(cells, rng)
+
+
+def whole_face_starts(size, rng):
+    """The search's Newton starts before they came from the unproved cells:
+    the face's centre and 24 seeded random points of the whole face."""
+    return [[1.0 / size] * size] + [equilibrium._random_simplex(rng, size) for _ in range(24)]
 
 
 def uniform_support_equilibria(rule):
@@ -331,14 +344,18 @@ class TestBracketing:
 
     def test_exact_zero_belongs_with_lo(self):
         # On odd-one-out m=2 the payoff difference on support {a, b} is
-        # exactly 0.0 at every grid point and midpoint evaluated, so all
-        # 128 brackets start and end on a zero.  A zero at a midpoint
-        # replaces lo, so each root lands on its bracket's upper end.
+        # exactly 0.0 at every grid point, so each of the 128 pairs is a
+        # bracket: a zero ends one and, as the next lo, counts as
+        # nonpositive.  solve_symmetric_rps3 bisects from these brackets.
         rule = odd_one_out(2)
-        got = equilibrium._symmetric_support_candidates(
-            rule, (0, 1), float_rows(rule), random.Random(0)
-        )
-        assert got == [(i / 128, 1 - i / 128) for i in range(1, 129)]
+        rows = float_rows(rule)
+
+        def gap(x):
+            u = equilibrium._opponent_payoffs(rule, rows, [(x, 1 - x, 0.0)])
+            return u[0] - u[1]
+
+        got = list(equilibrium._sign_changes(gap, (i / 128 for i in range(129))))
+        assert got == [(i / 128, 0.0, (i + 1) / 128) for i in range(128)]
 
 
 class TestExpectedWinnerCount:
@@ -412,7 +429,7 @@ class TestSearch:
         [
             pytest.param(
                 lambda: odd_one_out(2),
-                "29e0cf15b7d2b29de1ccdde0a067efd6216ecd67f2a1b4d4a92d0b1bf0dfd5bb",
+                "10938be7c27da82cb6b83c0ebf765e6ff3ed6b536f1f814a5cfa0c00a440607c",
                 id="odd-one-out m=2",
             ),
             pytest.param(
@@ -428,11 +445,11 @@ class TestSearch:
         ],
     )
     def test_results_with_exact_zero_roots_are_pinned(self, make, digest):
-        # Two-object support brackets that start or end on an exact 0.0
-        # payoff difference.  On odd-one-out m=2 the difference is 0.0 at
-        # every grid point, so all 128 brackets do both; on the other two
-        # games every such bracket has grid point 1/2 at an end.  The
-        # digest covers every vector, payoff and gap bit for bit.
+        # Games with exact 0.0 payoff differences on two-object supports.
+        # On odd-one-out m=2 the difference on {a, b} vanishes identically,
+        # so all 64 cells there are unproved and Newton's start in each is
+        # a root at once: one verified result per cell.  The digest covers
+        # every vector, payoff and gap bit for bit.
         found = search_equilibria(make(), SearchConfig(seed=1))
         text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -442,7 +459,7 @@ class TestSearch:
         [
             pytest.param(
                 0, "imbalanced3 m=3", 4199094495,
-                "bd2fd8cbf0a80e9ff0a5e1c6cd9b6dd4a1fa0972e2d04b9eb9b71b5f88b7e2e9",
+                "b9168282e6605acc287e4e3041c5a741e63f3c4b0547717cc074abc5e9ce32f7",
                 id="imbalanced3 m=3",
             ),
             pytest.param(
@@ -478,6 +495,8 @@ class TestSearch:
         # The benchmark's six search games (three random m=3, n=3 tables
         # last) with their fixed search seeds, pinned when the exact
         # uniform-support enumeration replaced damped best response.
+        # imbalanced3's root moved in its last bits when Newton's starts
+        # came to lie in the unproved cells.
         game, game_seed = search_workload_games[index]
         assert (game.construction, game_seed) == (construction, seed)
         found = search_equilibria(game, SearchConfig(seed=game_seed))
@@ -488,11 +507,32 @@ class TestSearch:
         # Newton roots the full support of imbalanced3 m=2 at a float point
         # within 1e-6 of (1/3, 1/3, 1/3), which the enumeration finds exactly.
         rule = imbalanced_rps3(2)
-        rows = float_rows(rule)
-        roots = equilibrium._symmetric_support_candidates(rule, (0, 1, 2), rows, random.Random(5))
+        support = (0, 1, 2)
+        starts = cell_starts(rule, support, random.Random(5))
+        roots = equilibrium._symmetric_support_candidates(rule, support, float_rows(rule), starts)
         assert roots and all(max(abs(p - 1 / 3) for p in v) < 1e-6 for v in roots)
         found = search_equilibria(rule, SearchConfig(seed=5))
         assert [p.vectors for p, _ in found] == [((Fraction(1, 3),) * 3,) * 2]
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_census_table_3_gives_both_full_support_roots(self, seed):
+        # The fourth table drawn from Random(878), m = 4, n = 5, holds two
+        # symmetric roots on its full support.  Newton's 25 starts spread
+        # over the whole face missed the first at seed 1; a start in each
+        # unproved cell finds both at every seed.
+        rng = random.Random(878)
+        for _ in range(4):
+            m, n = rng.randint(2, 4), rng.randint(2, 5)
+            rule = random_table_rule(rng, m, n)
+        assert (m, n) == (4, 5)
+        found = [
+            p.vectors[0]
+            for p, _ in search_equilibria(rule, SearchConfig(seed=seed))
+            if p.symmetric and min(p.vectors[0]) > 0
+        ]
+        roots = [(0.3228, 0.3784, 0.2462, 0.0469, 0.0058), (0.3140, 0.3745, 0.2179, 0.0453, 0.0482)]
+        for root in roots:
+            assert sum(max(map(abs, map(sub, v, root))) < 5e-5 for v in found) == 1, root
 
 
 @pytest.fixture(scope="module")
@@ -815,7 +855,7 @@ class TestSettleSkip:
         text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
         assert (
             hashlib.sha256(text.encode()).hexdigest()
-            == "856724a12fae4591762818a2f673eae23a20bf40632fab2fb749052bf6126dcf"
+            == "49e8af7ac588172507a582773109e06923a2624f7d7668ef8c15187f16709043"
         )
 
 
@@ -999,9 +1039,10 @@ class TestPayoffTable:
 
 
 class TestSupportExclusion:
-    """``_gaps_keep_a_sign`` proves, from the exact payoff differences, that
-    a symmetric support's differences never all vanish; the search then
-    skips it, and the scan or Newton must find nothing there."""
+    """``_unproved_cells`` proves, from the exact payoff differences, where
+    on a symmetric support's face the differences never all vanish; the
+    search starts Newton only in the cells it leaves, and on a support it
+    proves everywhere Newton must find nothing from anywhere on the face."""
 
     @pytest.mark.parametrize("name", sorted(EXCLUSION_GAMES))
     def test_excluded_supports_hold_no_root(self, name):
@@ -1011,27 +1052,31 @@ class TestSupportExclusion:
         for support in _supports(rule.n):
             if not equilibrium._gaps_keep_a_sign(rule, support, rows, scale):
                 continue
-            rng = random.Random(repr(support))
-            assert equilibrium._symmetric_support_candidates(rule, support, floats, rng) == []
+            starts = whole_face_starts(len(support), random.Random(repr(support)))
+            assert equilibrium._symmetric_support_candidates(rule, support, floats, starts) == []
 
     def test_search_walk_skips_excluded_supports(self, search_workload_games, monkeypatch):
-        # The guard sits in the search's support walk: the root finding runs
-        # on exactly the supports the exclusion leaves.
+        # The search starts Newton once in each unproved cell: never on an
+        # excluded support, and twice on imbalanced3 m=3's full support.
         walked = []
         candidates = equilibrium._symmetric_support_candidates
-        monkeypatch.setattr(
-            equilibrium,
-            "_symmetric_support_candidates",
-            lambda rule, support, *args: walked.append(support) or candidates(rule, support, *args),
-        )
+
+        def counted(rule, support, rows, starts):
+            walked.append((support, len(starts)))
+            return candidates(rule, support, rows, starts)
+
+        monkeypatch.setattr(equilibrium, "_symmetric_support_candidates", counted)
         for game, seed in search_workload_games:
             walked.clear()
             search_equilibria(game, SearchConfig(seed=seed))
             rows, scale = _payoff_table(game)
-            left = [
-                s for s in _supports(game.n) if not equilibrium._gaps_keep_a_sign(game, s, rows, scale)
-            ]
-            assert walked == left, game.construction
+            supports = _supports(game.n)
+            cells = [(s, len(equilibrium._unproved_cells(game, s, rows, scale))) for s in supports]
+            assert walked == cells, game.construction
+            excluded = {s for s in supports if equilibrium._gaps_keep_a_sign(game, s, rows, scale)}
+            assert all(count == 0 for s, count in walked if s in excluded), game.construction
+            if game.construction == "imbalanced3 m=3":
+                assert walked[-1] == ((0, 1, 2), 2)
 
     @pytest.mark.parametrize("gap, excluded", [(5e-13, False), (1e-6, True)])
     def test_gaps_within_the_root_tolerance_are_kept(self, gap, excluded):
@@ -1045,7 +1090,8 @@ class TestSupportExclusion:
         floats = {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
         support = (0, 1, 2)
         assert equilibrium._gaps_keep_a_sign(rule, support, rows, scale) == excluded
-        found = equilibrium._symmetric_support_candidates(rule, support, floats, random.Random(0))
+        starts = whole_face_starts(len(support), random.Random(0))
+        found = equilibrium._symmetric_support_candidates(rule, support, floats, starts)
         assert (found == []) == excluded
 
     def test_batch_reach(self):
@@ -1071,7 +1117,7 @@ class TestSupportExclusion:
 
     def test_subdivision_reaches_past_the_root_cell(self, monkeypatch):
         # Halving the face proves supports of every size that the whole
-        # face's test alone leaves to the scan or Newton, so the batch check
+        # face's test alone leaves to Newton, so the batch check
         # above runs the unguarded search on cells' proofs too.
         cells = _excluded_supports(EXCLUSION_GAMES)
         monkeypatch.setattr(equilibrium, "_EXCLUSION_DEPTH", 0)
@@ -1106,9 +1152,8 @@ class TestSupportExclusion:
     )
     def test_supports_holding_a_root_are_kept(self, rule, support):
         assert not equilibrium._gaps_keep_a_sign(rule, support, *_payoff_table(rule))
-        found = equilibrium._symmetric_support_candidates(
-            rule, support, float_rows(rule), random.Random(0)
-        )
+        starts = cell_starts(rule, support, random.Random(0))
+        found = equilibrium._symmetric_support_candidates(rule, support, float_rows(rule), starts)
         assert found
 
     @pytest.mark.parametrize(
