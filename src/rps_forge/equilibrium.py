@@ -8,10 +8,10 @@ three-object family, where the symmetric equilibrium (r, p, s) satisfies
 and the interior solution is isolated by nested bracketed bisection.
 Everything else is desk-scale numerics: exact expectation by multiset
 convolution, deviation-gap verification, and a search that enumerates
-the exact uniform-support equilibria and roots each symmetric support by
-Newton from a seeded start in every cell where an exact exclusion test
-cannot rule a root out; its outputs are only ever reported after
-independent verification.
+the exact uniform-support equilibria and roots each symmetric support's
+exact Bernstein form, the one an exclusion test proves root-free cell by
+cell, by Newton from a seeded start in every cell it leaves; its outputs
+are only ever reported after independent verification.
 """
 
 from __future__ import annotations
@@ -151,27 +151,6 @@ class NashGapReport:
         return self.gap <= eps
 
 
-def _opponent_payoffs(
-    rule: GameRule, rows: dict[tuple[int, ...], tuple[float, ...]], others: Sequence[Vector]
-) -> list[float]:
-    """Float expected payoff of every object against opponents mixing by
-    ``others``, summed in count-distribution order.  ``rows`` maps opponent
-    counts to float payoff rows; missing ones are computed and added."""
-    terms = []
-    for counts, pr in choice_count_distribution(others, rule.n).items():
-        row = rows.get(counts)
-        if row is None:
-            row = rows[counts] = tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
-        terms.append((float(pr), row))
-    u = []
-    for o in range(rule.n):
-        tot = 0.0
-        for pr, row in terms:
-            tot += pr * row[o]
-        u.append(tot)
-    return u
-
-
 def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
     """How much any player could gain by deviating to a pure strategy.
 
@@ -192,7 +171,17 @@ def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
         key = tuple(tuple((type(p), p) for p in v) for v in others)
         u = seen.get(key)
         if u is None:
-            u = seen[key] = _opponent_payoffs(rule, rows, others)
+            terms = []
+            for counts, pr in choice_count_distribution(others, rule.n).items():
+                if counts not in rows:
+                    rows[counts] = tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
+                terms.append((float(pr), rows[counts]))
+            u = seen[key] = []
+            for o in range(rule.n):
+                tot = 0.0
+                for pr, row in terms:
+                    tot += pr * row[o]
+                u.append(tot)
         current = sum(float(p) * uo for p, uo in zip(profile.vectors[i], u))
         gaps.append(max(0.0, max(u) - current))
         per_player.append(tuple(u))
@@ -450,15 +439,16 @@ def _unproved_cells(
     face's barycentric coordinates times 2^halvings; elsewhere Newton can
     return no root.  ``rows`` and ``scale`` are ``_payoff_table``'s.
 
-    On the face, f_k = u_{s_k} - u_last = sum_c D_c[k] B_c(v) / scale over
-    opponent counts c, D_c[k] = row_c[s_k] - row_c[last] exactly, with the
-    Bernstein basis B_c >= 0 summing to 1.  If sigma . D_c / scale >
-    |sigma|_1 (1e-12 + err) for all c, for some sigma in {-1, 0, 1}^(size
+    On the face, f_k = u_{s_k} - u_last = sum_a D_a[k] B_a(v) / scale over
+    the opponents' counts a on the support (``_face_coefficients``), with
+    the Bernstein basis B_a >= 0 summing to 1.  If sigma . D_a / scale >
+    |sigma|_1 (1e-12 + err) for all a, for some sigma in {-1, 0, 1}^(size
     - 1), so does sigma . f, hence max |f_k| > 1e-12 + err.  ``err`` bounds
-    how far Newton's float ``diffs`` lie from f: the float rows x / scale
-    round each payoff by at most 2^-53 rmax, so each difference by
-    2^-52 rmax, and the sums add their own float error (for m <= 4,
-    n <= 5).
+    how far ``_face_system``'s float f at a point Newton evaluates lies
+    from f at that point rescaled to sum 1: each term rounds at most m - 1
+    times, their sum len(coeffs) - 1 times and the division by scale once,
+    each relative to a sum of magnitudes <= 2 rmax, and the point's sum, 1
+    within size 2^-53, moves f by about m size 2^-52 rmax: under err / 10.
 
     Where the whole face fails that test, its longest edge is halved
     (``_face_halves``), and so on: on each cell, f has a Bernstein form of
@@ -467,12 +457,7 @@ def _unproved_cells(
     cell.  Coefficients are exact integers, the face's times 2^(m - 1) per
     halving, and the margin is scaled alike.  A cell that still fails after
     _EXCLUSION_DEPTH halvings is returned, and the walk goes on.  The cells
-    cover the face, and every point Newton evaluates, rescaled to sum 1,
-    lies on it.  f is homogeneous of degree m - 1 in the barycentric
-    coordinates, so the rescaling changes it by a factor within rounding
-    of 1, which ``err`` covers with the rest of the float error of
-    ``diffs``.  So no point Newton evaluates outside the returned cells is
-    a root.
+    cover the face, so no point Newton evaluates outside them is a root.
     """
     size, degree = len(support), rule.m - 1
     coeffs = _face_coefficients(rule, support, rows)
@@ -508,12 +493,6 @@ def _unproved_cells(
     return unproved
 
 
-def _gaps_keep_a_sign(rule: GameRule, support: tuple[int, ...], rows: dict, scale: int) -> bool:
-    """Whether ``_unproved_cells`` proves all of ``support``'s face, so that
-    the support holds no symmetric root."""
-    return not _unproved_cells(rule, support, rows, scale)
-
-
 def _cell_starts(cells: list[tuple[int, list]], rng: random.Random) -> list[list[float]]:
     """One seeded random point of each of ``_unproved_cells``'s cells, in
     the face's barycentric coordinates: ``_random_simplex`` weights over
@@ -525,48 +504,71 @@ def _cell_starts(cells: list[tuple[int, list]], rng: random.Random) -> list[list
     return starts
 
 
+def _face_system(
+    rule: GameRule, support: tuple[int, ...], rows: dict, scale: int
+) -> Callable[[list[float]], tuple[list[float], list[list[float]]]]:
+    """f and its Jacobian in float at a point x of ``support``'s face, from
+    the ``_face_coefficients`` D that ``_unproved_cells`` reads: f_k =
+    sum_a D_a[k] B_a(x) / scale and, with x_last = 1 - x_1 - ... - x_d,
+    df_k/dx_j = (m - 1) sum_b (D_{b+e_j}[k] - D_{b+e_last}[k]) B_b(x) /
+    scale, degree-lowered so that it divides by no coordinate."""
+    d = len(support) - 1
+    coeffs = _face_coefficients(rule, support, rows)
+    lowered = {}
+    for a, at_last in coeffs.items():
+        if a[d]:  # a = b + e_last
+            b = a[:d] + (a[d] - 1,)
+            ups = [coeffs[b[:j] + (b[j] + 1,) + b[j + 1 :]] for j in range(d)]
+            lowered[b] = [(rule.m - 1) * (up[k] - at_last[k]) for k in range(d) for up in ups]
+    forms = [
+        (width, [([k for k, c in enumerate(a) for _ in range(c)],
+                  [math.factorial(sum(a)) // math.prod(map(math.factorial, a)) * v for v in vals])
+                 for a, vals in table.items()])
+        for table, width in ((coeffs, d), (lowered, d * d))
+    ]
+
+    def at(x: list[float]) -> tuple[list[float], list[list[float]]]:
+        sums = []
+        for width, form in forms:
+            tot = [0.0] * width
+            for picks, vals in form:
+                mono = math.prod([x[k] for k in picks])
+                tot = [t + v * mono for t, v in zip(tot, vals)]
+            sums.append([t / scale for t in tot])
+        f, flat = sums
+        return f, [flat[k * d : (k + 1) * d] for k in range(d)]
+
+    return at
+
+
 def _symmetric_support_candidates(
-    rule: GameRule, support: tuple[int, ...], rows: dict, starts: list[list[float]]
+    rule: GameRule, support: tuple[int, ...], rows: dict, scale: int, starts: list[list[float]]
 ) -> list[tuple[float, ...]]:
-    """Symmetric profiles supported on ``support``, of two objects or more,
-    equalizing the float payoff ``rows`` there: damped Newton with a
-    numerical Jacobian from each of ``starts``, points of the face in its
-    barycentric coordinates."""
-    n, d = rule.n, len(support) - 1
-
-    def place(x: Sequence[float]) -> list[float]:
-        v = [0.0] * n
-        for o, p in zip(support, x):
-            v[o] = p
-        return v
-
-    def diffs(x: list[float]) -> list[float]:
-        u = _opponent_payoffs(rule, rows, [place(x + [1.0 - sum(x)])] * (rule.m - 1))
-        last = u[support[-1]]
-        return [u[o] - last for o in support[:-1]]
-
+    """Symmetric profiles on ``support`` where ``_face_system``'s f
+    vanishes: damped Newton from each of ``starts`` (face points)."""
+    if not starts:
+        return []
+    d, system = len(support) - 1, _face_system(rule, support, rows, scale)
     found: list[tuple[float, ...]] = []
-    h = 1e-7
     for start in starts:
         x = start[:d]
         for _ in range(120):
-            f0 = diffs(x)
+            xs = x + [1.0 - sum(x)]
+            f0, jac = system(xs)
             if max(map(abs, f0)) < 1e-12:
-                xs = x + [1.0 - sum(x)]
                 if all(p > 1e-12 for p in xs):  # a root is normalised once, here
-                    found.append(tuple(place([p / sum(xs) for p in xs])))
+                    shares = dict(zip(support, xs))
+                    found.append(tuple(shares.get(o, 0.0) / sum(xs) for o in range(rule.n)))
                 break
-            cols = [diffs(x[:j] + [x[j] + h] + x[j + 1 :]) for j in range(d)]
-            jac = [[(fj[i] - f0[i]) / h for fj in cols] for i in range(d)]
             step = _solve_linear(jac, [-v for v in f0])
             if step is None:
                 break
-            scale = 1.0
+            damp = 1.0
             for _ in range(40):
-                trial = [x[j] + scale * step[j] for j in range(d)]
+                trial = [x[j] + damp * step[j] for j in range(d)]
                 if all(t > 1e-12 for t in trial) and sum(trial) < 1.0 - 1e-12:
                     break
-                scale *= 0.5
+                damp *= 0.5
             else:
                 break
             x = trial
@@ -640,13 +642,11 @@ def search_equilibria(
 ) -> list[tuple[MixedProfile, NashGapReport]]:
     """Candidate equilibria of a small game, each independently verified.
 
-    Builds ``_payoff_table`` once; each stage reads one view of it.  Takes,
-    in this order, the exact uniform-support equilibria of
-    ``_uniform_support_equilibria``, which reads the integer rows, and the
-    float roots Newton finds on the float rows x / scale, on each support
-    of two objects or more, from one seeded start in each cell where
-    ``_unproved_cells`` cannot prove from the exact payoff differences
-    that there is none.
+    Builds ``_payoff_table`` once and takes, in this order, the exact
+    uniform-support equilibria of ``_uniform_support_equilibria`` and the
+    float roots of each support of two objects or more that Newton finds
+    from one seeded start in each cell where ``_unproved_cells`` cannot
+    prove that there is none; both read the table's integers.
     Every candidate must pass the deviation-gap check at ``config.eps``;
     survivors are deduplicated within sup distance ``_DEDUP``, so an exact
     profile is the one reported where a float root lies that close to it.
@@ -656,13 +656,12 @@ def search_equilibria(
         raise GameError("search is desk-scale only (m <= 4, n <= 5)")
     rng = random.Random(config.seed)
     rows, scale = _payoff_table(rule)
-    floats = {c: tuple(x / scale for x in row) for c, row in rows.items()}
     roots = [
         (v,) * rule.m
         for size in range(2, rule.n + 1)
         for support in combinations(range(rule.n), size)
         for v in _symmetric_support_candidates(
-            rule, support, floats, _cell_starts(_unproved_cells(rule, support, rows, scale), rng)
+            rule, support, rows, scale, _cell_starts(_unproved_cells(rule, support, rows, scale), rng)
         )
     ]
 

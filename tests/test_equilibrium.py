@@ -9,10 +9,13 @@ player's best set with exact ``expected_payoff`` values, and must hold,
 within 1e-6, every profile that damped best response (the search's former
 asymmetric stage, kept here as a test-side loop) keeps.  Sha256 pins of
 ``search_equilibria`` output cover the benchmark's six search games.
-Supports that ``_gaps_keep_a_sign`` proves root-free from the exact payoff
+Supports that ``_unproved_cells`` proves root-free from the exact payoff
 differences must hold nothing Newton finds from starts spread over the
-whole face, the search must start Newton once in each cell that
-``_unproved_cells`` leaves, and the verdicts on a seeded batch are pinned.
+whole face, the search must start Newton once in each cell it leaves, and
+the verdicts on a seeded batch are pinned.  Newton's f and Jacobian come
+from the same exact Bernstein coefficients: f must lie within the
+exclusion's float margin of the exact value, and the Jacobian must be
+the exact derivative up to rounding.
 """
 
 import hashlib
@@ -49,7 +52,8 @@ from rps_forge.equilibrium import (
 
 
 def float_rows(rule):
-    """The search's float view of ``_payoff_table``: each x / scale."""
+    """``_payoff_table`` as floats, each x / scale: the payoffs best
+    response read."""
     rows, scale = _payoff_table(rule)
     return {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
 
@@ -348,10 +352,9 @@ class TestBracketing:
         # bracket: a zero ends one and, as the next lo, counts as
         # nonpositive.  solve_symmetric_rps3 bisects from these brackets.
         rule = odd_one_out(2)
-        rows = float_rows(rule)
 
         def gap(x):
-            u = equilibrium._opponent_payoffs(rule, rows, [(x, 1 - x, 0.0)])
+            u = nash_gap(rule, symmetric_profile((x, 1 - x), 2)).payoffs[0]
             return u[0] - u[1]
 
         got = list(equilibrium._sign_changes(gap, (i / 128 for i in range(129))))
@@ -459,7 +462,7 @@ class TestSearch:
         [
             pytest.param(
                 0, "imbalanced3 m=3", 4199094495,
-                "b9168282e6605acc287e4e3041c5a741e63f3c4b0547717cc074abc5e9ce32f7",
+                "26362eee3f36f0bf69cd497de96f11f7b7589033dd82cf4bbfb8c2ee9b4dd91b",
                 id="imbalanced3 m=3",
             ),
             pytest.param(
@@ -496,7 +499,8 @@ class TestSearch:
         # last) with their fixed search seeds, pinned when the exact
         # uniform-support enumeration replaced damped best response.
         # imbalanced3's root moved in its last bits when Newton's starts
-        # came to lie in the unproved cells.
+        # came to lie in the unproved cells, and again (by 2.2e-16) when
+        # Newton came to read the face's exact Bernstein form.
         game, game_seed = search_workload_games[index]
         assert (game.construction, game_seed) == (construction, seed)
         found = search_equilibria(game, SearchConfig(seed=game_seed))
@@ -509,7 +513,7 @@ class TestSearch:
         rule = imbalanced_rps3(2)
         support = (0, 1, 2)
         starts = cell_starts(rule, support, random.Random(5))
-        roots = equilibrium._symmetric_support_candidates(rule, support, float_rows(rule), starts)
+        roots = equilibrium._symmetric_support_candidates(rule, support, *_payoff_table(rule), starts)
         assert roots and all(max(abs(p - 1 / 3) for p in v) < 1e-6 for v in roots)
         found = search_equilibria(rule, SearchConfig(seed=5))
         assert [p.vectors for p, _ in found] == [((Fraction(1, 3),) * 3,) * 2]
@@ -851,11 +855,13 @@ class TestSettleSkip:
             assert enumerated and set(enumerated) <= found, game.construction
 
     def test_imbalanced_k2_result_is_pinned(self):
+        # Re-pinned when Newton came to read the face's exact Bernstein
+        # form: its one root moved by 2.0e-14.
         found = search_equilibria(imbalanced_rps(3, 2), SearchConfig(seed=1))
         text = repr([(p.vectors, r.payoffs, r.gaps) for p, r in found])
         assert (
             hashlib.sha256(text.encode()).hexdigest()
-            == "49e8af7ac588172507a582773109e06923a2624f7d7668ef8c15187f16709043"
+            == "1efaa7121a5515a8c91e119b55705c21349682ce874d30b28069af6b6014455a"
         )
 
 
@@ -987,7 +993,7 @@ def _excluded_supports(games):
         for name, rule in games.items()
         for rows, scale in [_payoff_table(rule)]
         for support in _supports(rule.n)
-        if equilibrium._gaps_keep_a_sign(rule, support, rows, scale)
+        if not equilibrium._unproved_cells(rule, support, rows, scale)
     }
 
 
@@ -1000,6 +1006,19 @@ def _bernstein_value(coeffs, mu, degree):
             weight *= x**k / math.factorial(k)
         terms = [weight * v for v in d]
         total = terms if total is None else list(map(sum, zip(total, terms)))
+    return total
+
+
+def _bernstein_partial(coeffs, mu, degree, j):
+    """Each entry of the derivative in mu_j of sum_a coeffs[a] (degree
+    choose a) mu^a, exactly, term by term from its monomials."""
+    total = [Fraction(0)] * len(next(iter(coeffs.values())))
+    for a, d in coeffs.items():
+        if a[j]:
+            weight = Fraction(math.factorial(degree) * a[j])
+            for i, (x, k) in enumerate(zip(mu, a)):
+                weight *= x ** (k - (i == j)) / math.factorial(k)
+            total = [t + weight * v for t, v in zip(total, d)]
     return total
 
 
@@ -1018,8 +1037,9 @@ TABLE_GAMES = _with_random_tables(NAMED_GAMES, 20261022)
 
 
 class TestPayoffTable:
-    """``_payoff_table`` holds every payoff once, exactly; the search's
-    float view of it must be what converting each exact payoff gives."""
+    """``_payoff_table`` holds every payoff once, exactly; its float view,
+    which the test-side best response reads, must be what converting each
+    exact payoff gives."""
 
     @pytest.mark.parametrize("name", sorted(TABLE_GAMES))
     def test_float_view_is_the_float_payoff(self, name):
@@ -1048,12 +1068,11 @@ class TestSupportExclusion:
     def test_excluded_supports_hold_no_root(self, name):
         rule = EXCLUSION_GAMES[name]
         rows, scale = _payoff_table(rule)
-        floats = float_rows(rule)
         for support in _supports(rule.n):
-            if not equilibrium._gaps_keep_a_sign(rule, support, rows, scale):
+            if equilibrium._unproved_cells(rule, support, rows, scale):
                 continue
             starts = whole_face_starts(len(support), random.Random(repr(support)))
-            assert equilibrium._symmetric_support_candidates(rule, support, floats, starts) == []
+            assert equilibrium._symmetric_support_candidates(rule, support, rows, scale, starts) == []
 
     def test_search_walk_skips_excluded_supports(self, search_workload_games, monkeypatch):
         # The search starts Newton once in each unproved cell: never on an
@@ -1061,9 +1080,9 @@ class TestSupportExclusion:
         walked = []
         candidates = equilibrium._symmetric_support_candidates
 
-        def counted(rule, support, rows, starts):
+        def counted(rule, support, rows, scale, starts):
             walked.append((support, len(starts)))
-            return candidates(rule, support, rows, starts)
+            return candidates(rule, support, rows, scale, starts)
 
         monkeypatch.setattr(equilibrium, "_symmetric_support_candidates", counted)
         for game, seed in search_workload_games:
@@ -1073,7 +1092,7 @@ class TestSupportExclusion:
             supports = _supports(game.n)
             cells = [(s, len(equilibrium._unproved_cells(game, s, rows, scale))) for s in supports]
             assert walked == cells, game.construction
-            excluded = {s for s in supports if equilibrium._gaps_keep_a_sign(game, s, rows, scale)}
+            excluded = {s for s in supports if not equilibrium._unproved_cells(game, s, rows, scale)}
             assert all(count == 0 for s, count in walked if s in excluded), game.construction
             if game.construction == "imbalanced3 m=3":
                 assert walked[-1] == ((0, 1, 2), 2)
@@ -1087,17 +1106,16 @@ class TestSupportExclusion:
         rule = imbalanced_rps3(2)
         scale = round(1 / gap)
         rows = {counts: (1, 1, 0) for counts in _payoff_table(rule)[0]}
-        floats = {counts: tuple(x / scale for x in row) for counts, row in rows.items()}
         support = (0, 1, 2)
-        assert equilibrium._gaps_keep_a_sign(rule, support, rows, scale) == excluded
+        assert (not equilibrium._unproved_cells(rule, support, rows, scale)) == excluded
         starts = whole_face_starts(len(support), random.Random(0))
-        found = equilibrium._symmetric_support_candidates(rule, support, floats, starts)
+        found = equilibrium._symmetric_support_candidates(rule, support, rows, scale, starts)
         assert (found == []) == excluded
 
     def test_batch_reach(self):
         excluded = {
             size: sum(
-                equilibrium._gaps_keep_a_sign(rule, s, *_payoff_table(rule))
+                not equilibrium._unproved_cells(rule, s, *_payoff_table(rule))
                 for rule in EXCLUSION_GAMES.values()
                 for s in _supports(rule.n)
                 if len(s) == size
@@ -1134,10 +1152,10 @@ class TestSupportExclusion:
         for game, _ in search_workload_games:
             rows, scale = _payoff_table(game)
             pairs += sum(
-                equilibrium._gaps_keep_a_sign(game, pair, rows, scale)
+                not equilibrium._unproved_cells(game, pair, rows, scale)
                 for pair in combinations(range(game.n), 2)
             )
-            full = equilibrium._gaps_keep_a_sign(game, tuple(range(game.n)), rows, scale)
+            full = not equilibrium._unproved_cells(game, tuple(range(game.n)), rows, scale)
             holds_root = game.construction in ("imbalanced3 m=3", "odd-one-out m=4")
             assert full != holds_root, game.construction
         assert pairs == 12
@@ -1151,9 +1169,9 @@ class TestSupportExclusion:
         ids=["imbalanced3 m=2", "imbalanced3 m=3", "imbalanced3 m=4", "odd-one-out m=4"],
     )
     def test_supports_holding_a_root_are_kept(self, rule, support):
-        assert not equilibrium._gaps_keep_a_sign(rule, support, *_payoff_table(rule))
+        assert equilibrium._unproved_cells(rule, support, *_payoff_table(rule))
         starts = cell_starts(rule, support, random.Random(0))
-        found = equilibrium._symmetric_support_candidates(rule, support, float_rows(rule), starts)
+        found = equilibrium._symmetric_support_candidates(rule, support, *_payoff_table(rule), starts)
         assert found
 
     @pytest.mark.parametrize(
@@ -1204,8 +1222,66 @@ class TestSupportExclusion:
         monkeypatch.setattr(
             equilibrium, "_face_halves", lambda *args: halvings.append(args) or halves(*args)
         )
-        assert not equilibrium._gaps_keep_a_sign(rule, (0, 1, 2), rows, 2)
+        assert equilibrium._unproved_cells(rule, (0, 1, 2), rows, 2)
         assert depth <= len(halvings) <= 2**depth - 1
+
+
+class TestFaceSystem:
+    """Newton's f and Jacobian come from ``_face_coefficients``, the exact
+    Bernstein form that ``_unproved_cells`` proves things about; its float
+    margin is sound only while Newton's float f stays within it."""
+
+    @pytest.mark.parametrize("name", sorted(EXCLUSION_GAMES))
+    def test_float_f_lies_within_the_exclusion_margin(self, name):
+        # Seeded points formed as Newton forms them, the last coordinate 1
+        # minus the float sum of the others: float f lies within
+        # _unproved_cells' err of the exact f at the point rescaled to sum 1.
+        rule = EXCLUSION_GAMES[name]
+        rows, scale = _payoff_table(rule)
+        rmax = max(abs(x) for row in rows.values() for x in row) / scale
+        rng = random.Random(name)
+        for support in _supports(rule.n):
+            coeffs = equilibrium._face_coefficients(rule, support, rows)
+            err = ((len(coeffs) + rule.m * len(support) + 4) * 2.0**-48 + 2.0**-52) * rmax
+            system = equilibrium._face_system(rule, support, rows, scale)
+            for _ in range(8):
+                x = equilibrium._random_simplex(rng, len(support))[:-1]
+                xs = x + [1.0 - sum(x)]
+                point = [Fraction(p) for p in xs]
+                mu = [p / sum(point) for p in point]
+                exact = [v / scale for v in _bernstein_value(coeffs, mu, rule.m - 1)]
+                got = system(xs)[0]
+                assert all(abs(Fraction(g) - e) <= err for g, e in zip(got, exact)), (support, xs)
+
+    @pytest.mark.parametrize(
+        "name", ["imbalanced3 m=2", "odd-one-out m=3", "table m=3 n=4 #1", "table m=4 n=5 #1"]
+    )
+    def test_jacobian_is_the_exact_derivative(self, name):
+        # Dyadic points, exact in float and summing to 1, one with a zero
+        # coordinate (_cell_starts gives one where expovariate returns 0.0):
+        # the Jacobian equals, to rounding, d/dx_j - d/dx_last of the exact
+        # homogeneous form, taken term by term from its monomials.
+        rule = ORACLE_GAMES[name]
+        rows, scale = _payoff_table(rule)
+        rng = random.Random(name)
+        for support in _supports(rule.n):
+            d = len(support) - 1
+            coeffs = equilibrium._face_coefficients(rule, support, rows)
+            system = equilibrium._face_system(rule, support, rows, scale)
+            for zero in (False, True, False):
+                cuts = sorted(rng.randrange(1 << 20) for _ in range(d))
+                if zero:
+                    cuts[0] = 0
+                parts = [b - a for a, b in zip([0] + cuts, cuts + [1 << 20])]
+                point = [Fraction(p, 1 << 20) for p in parts]
+                assert (0 in parts) == zero
+                x = [float(p) for p in point[:d]]
+                jac = system(x + [1.0 - sum(x)])[1]
+                grads = [_bernstein_partial(coeffs, point, rule.m - 1, j) for j in range(d + 1)]
+                for k in range(d):
+                    for j in range(d):
+                        exact = (grads[j][k] - grads[d][k]) / scale
+                        assert abs(jac[k][j] - exact) <= 1e-12, (support, point, k, j)
 
 
 class TestSearchConfig:
