@@ -72,9 +72,9 @@ class MixedProfile:
     symmetric: bool = False
 
     def __post_init__(self):
-        for v in self.vectors:
+        for v in {id(v): v for v in self.vectors}.values():  # each object once
             _check_distribution(v)
-        if self.symmetric and len(set(self.vectors)) > 1:
+        if self.symmetric and any(v != self.vectors[0] for v in self.vectors):
             raise GameError("symmetric profile with differing vectors")
 
     @property
@@ -95,9 +95,12 @@ def uniform_profile(rule: GameRule) -> MixedProfile:
 def choice_count_distribution(
     vectors: Sequence[Vector], n: int
 ) -> dict[tuple[int, ...], Number]:
-    """Distribution over count vectors of the objects picked by ``vectors``."""
+    """Distribution over count vectors of the objects picked by ``vectors``,
+    each of which must hold one entry per object."""
     dist: dict[tuple[int, ...], Number] = {(0,) * n: 1}
     for v in vectors:
+        if len(v) != n:
+            raise GameError(f"vector has {len(v)} entries for {n} objects")
         nxt: dict[tuple[int, ...], Number] = {}
         for counts, pr in dist.items():
             for o, po in enumerate(v):
@@ -151,41 +154,75 @@ class NashGapReport:
         return self.gap <= eps
 
 
-def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
-    """How much any player could gain by deviating to a pure strategy.
+def _count_weights(vectors: Sequence[Vector], n: int) -> list[tuple[tuple[int, ...], float]]:
+    """``choice_count_distribution`` of ``vectors``, in its order, with each
+    weight as the float of its exact value.  Where every entry is an int or
+    a ``Fraction``, each vector is scaled to integers over its common
+    denominator and the picks are convolved in integers: int / int division
+    rounds correctly, so ``ways / den`` is ``float(pr)``, without a
+    ``Fraction`` per product.  Float products round at each step, so float
+    vectors take the generic convolution."""
+    if all(type(p) is Fraction or type(p) is int for v in vectors for p in v):
+        den, scaled = 1, []
+        for v in vectors:
+            d = math.lcm(*(p.denominator for p in v))
+            scaled.append(tuple(p.numerator * (d // p.denominator) for p in v))
+            den *= d
+        return [(c, ways / den) for c, ways in choice_count_distribution(scaled, n).items()]
+    return [(c, float(pr)) for c, pr in choice_count_distribution(vectors, n).items()]
 
-    Within one call each (object, opponent counts) payoff is evaluated
-    once, and a player whose ordered opponent vectors equal an earlier
-    player's, entry types included, reuses that player's payoff vector.
-    So a symmetric profile builds one count distribution, and the float
-    operations, and hence the report, are those of evaluating every
-    player on their own.
-    """
-    _check_shape(rule, profile)
-    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
-    seen: dict[tuple, list[float]] = {}
+
+def _gap_report(
+    vectors: tuple[Vector, ...],
+    n: int,
+    row: Callable[[tuple[int, ...]], tuple[float, ...]],
+    seen: dict[tuple[int, ...], list[float]],
+) -> NashGapReport:
+    """The deviation gaps of ``vectors``, with ``row(counts)`` the float
+    payoff of every object against the opponent count vector ``counts``.
+
+    ``seen`` maps the ids of a player's ordered opponent vectors to their
+    payoff vector; the caller keeps every vector it has seen alive, so an
+    id names one object.  A player whose opponents are the very objects of
+    an earlier player's reuses that payoff vector, so a symmetric profile
+    builds one count distribution.  Each payoff sums its terms in
+    distribution order, so the float operations, and hence the report, are
+    those of evaluating every player on their own."""
     per_player: list[tuple[float, ...]] = []
     gaps: list[float] = []
-    for i in range(profile.m):
-        others = [v for j, v in enumerate(profile.vectors) if j != i]
-        key = tuple(tuple((type(p), p) for p in v) for v in others)
+    for i, mine in enumerate(vectors):
+        others = vectors[:i] + vectors[i + 1 :]
+        key = tuple(map(id, others))
         u = seen.get(key)
         if u is None:
-            terms = []
-            for counts, pr in choice_count_distribution(others, rule.n).items():
-                if counts not in rows:
-                    rows[counts] = tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
-                terms.append((float(pr), rows[counts]))
-            u = seen[key] = []
-            for o in range(rule.n):
-                tot = 0.0
-                for pr, row in terms:
-                    tot += pr * row[o]
-                u.append(tot)
-        current = sum(float(p) * uo for p, uo in zip(profile.vectors[i], u))
+            u = [0.0] * n
+            for counts, pr in _count_weights(others, n):
+                u = [t + pr * x for t, x in zip(u, row(counts))]
+            seen[key] = u
+        current = sum(float(p) * uo for p, uo in zip(mine, u))
         gaps.append(max(0.0, max(u) - current))
         per_player.append(tuple(u))
     return NashGapReport(payoffs=tuple(per_player), gaps=tuple(gaps), gap=max(gaps))
+
+
+def nash_gap(rule: GameRule, profile: MixedProfile) -> NashGapReport:
+    """How much any player could gain by deviating to a pure strategy.
+
+    ``_gap_report`` with payoff rows from ``_payoff_against``, each
+    (object, opponent counts) payoff evaluated once per call.  Exact
+    vectors get their count weights from an integer convolution
+    (``_count_weights``).  ``search_equilibria`` verifies through the same
+    kernel from its exact table, to the same report bit for bit.
+    """
+    _check_shape(rule, profile)
+    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
+
+    def row(counts: tuple[int, ...]) -> tuple[float, ...]:
+        if counts not in rows:
+            rows[counts] = tuple(float(_payoff_against(rule, o, counts)) for o in range(rule.n))
+        return rows[counts]
+
+    return _gap_report(profile.vectors, rule.n, row, {})
 
 
 @dataclass(frozen=True)
@@ -621,6 +658,7 @@ def _uniform_support_equilibria(rule: GameRule, rows: dict) -> list[tuple[tuple[
         return best.issuperset(s)
 
     found = []
+    vectors: dict[tuple[int, ...], tuple[Fraction, ...]] = {}  # one object per support
     # Each profile once, as a nondecreasing tuple of supports grouped by its
     # last support; removing one entry leaves the opponents' tuple sorted.
     for last, s in enumerate(supports):
@@ -631,9 +669,11 @@ def _uniform_support_equilibria(rule: GameRule, rows: dict) -> list[tuple[tuple[
                 for i, t in enumerate(profile)
                 if i == 0 or t != profile[i - 1]
             ):
-                vector = {t: tuple(Fraction(x, len(t)) for x in picks[t]) for t in profile}
+                for t in profile:
+                    if t not in vectors:
+                        vectors[t] = tuple(Fraction(x, len(t)) for x in picks[t])
                 for order in sorted(set(permutations(profile))):
-                    found.append(tuple(vector[t] for t in order))
+                    found.append(tuple(vectors[t] for t in order))
     return found
 
 
@@ -647,9 +687,13 @@ def search_equilibria(
     float roots of each support of two objects or more that Newton finds
     from one seeded start in each cell where ``_unproved_cells`` cannot
     prove that there is none; both read the table's integers.
-    Every candidate must pass the deviation-gap check at ``config.eps``;
-    survivors are deduplicated within sup distance ``_DEDUP``, so an exact
-    profile is the one reported where a float root lies that close to it.
+    Every candidate must pass the deviation-gap check at ``config.eps``:
+    ``_gap_report``, with payoff rows read from the table as x / scale,
+    which int / int division rounds as ``float`` rounds ``_payoff_against``,
+    and with integer count weights for the exact vectors, so each report
+    is ``nash_gap``'s bit for bit.  A root is dropped when it lies within
+    sup distance ``_DEDUP`` of a profile already kept, so an exact profile
+    is the one reported where a float root lies that close to it.
     The list may be empty (inconclusive); it is never claimed exhaustive.
     """
     if rule.m > 4 or rule.n > 5:
@@ -657,7 +701,7 @@ def search_equilibria(
     rng = random.Random(config.seed)
     rows, scale = _payoff_table(rule)
     roots = [
-        (v,) * rule.m
+        v
         for size in range(2, rule.n + 1)
         for support in combinations(range(rule.n), size)
         for v in _symmetric_support_candidates(
@@ -665,16 +709,33 @@ def search_equilibria(
         )
     ]
 
+    floats = {c: tuple(x / scale for x in row) for c, row in rows.items()}
+    # ``_gap_report``'s payoff vectors, shared by every candidate: ``exact``
+    # and ``roots`` keep the vectors whose ids key it alive.
+    payoffs: dict[tuple[int, ...], list[float]] = {}
+    exact = _uniform_support_equilibria(rule, rows)
     verified: list[tuple[MixedProfile, NashGapReport]] = []
+    for cand in exact:
+        report = _gap_report(cand, rule.n, floats.__getitem__, payoffs)
+        if report.is_eps_nash(config.eps):
+            # Each support has one vector object, so equal vectors are one object.
+            verified.append((MixedProfile(cand, symmetric=all(v is cand[0] for v in cand)), report))
+    # Distinct uniform-support profiles differ by 1/20 or more in some
+    # entry, so only the roots are checked against what is kept.
     seen: list[tuple[float, ...]] = []
-    for cand in _uniform_support_equilibria(rule, rows) + sorted(roots):
-        flat = tuple(float(p) for v in cand for p in v)
+    view: dict[int, tuple[float, ...]] = {}
+    for profile, _ in verified if roots else ():
+        for v in profile.vectors:
+            if id(v) not in view:
+                view[id(v)] = tuple(map(float, v))
+        seen.append(tuple(x for v in profile.vectors for x in view[id(v)]))
+    for v in sorted(roots):
+        flat = v * rule.m
         if any(max(abs(a - b) for a, b in zip(flat, prev)) < _DEDUP for prev in seen):
             continue
-        profile = MixedProfile(vectors=cand, symmetric=len(set(cand)) == 1)
-        report = nash_gap(rule, profile)
+        report = _gap_report((v,) * rule.m, rule.n, floats.__getitem__, payoffs)
         if report.is_eps_nash(config.eps):
-            verified.append((profile, report))
+            verified.append((symmetric_profile(v, rule.m), report))
             seen.append(flat)
     return verified
 

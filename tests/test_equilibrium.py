@@ -15,7 +15,9 @@ whole face, the search must start Newton once in each cell it leaves, and
 the verdicts on a seeded batch are pinned.  Newton's f and Jacobian come
 from the same exact Bernstein coefficients: f must lie within the
 exclusion's float margin of the exact value, and the Jacobian must be
-the exact derivative up to rounding.
+the exact derivative up to rounding.  The search verifies its candidates
+from its own table: every report must equal ``nash_gap``'s bit for bit,
+and a candidate that is no equilibrium must be dropped.
 """
 
 import hashlib
@@ -113,6 +115,20 @@ class TestMixedProfile:
         v = (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
         p = MixedProfile(vectors=(v, v, (Fraction(0), Fraction(1), Fraction(0))))
         assert p.vectors[0] == v and not p.symmetric
+
+
+class TestChoiceCountDistribution:
+    @pytest.mark.parametrize(
+        "vectors, length",
+        [
+            pytest.param([(0.5,)], 1, id="short"),
+            pytest.param([(1.0, 0.0, 0.0)], 3, id="long, extra entry zero"),
+            pytest.param([(0.5, 0, 0.5)], 3, id="long, extra entry nonzero"),
+        ],
+    )
+    def test_vector_length_must_be_n(self, vectors, length):
+        with pytest.raises(GameError, match=f"vector has {length} entries for 2 objects"):
+            choice_count_distribution(vectors, 2)
 
 
 class TestExpectedPayoff:
@@ -261,6 +277,30 @@ class TestNashGapReference:
         want = reference_nash_gap(rule, profile)
         assert want.payoffs[0] != want.payoffs[5]
         assert nash_gap(rule, profile) == want
+
+    @pytest.mark.parametrize(
+        "make, supports",
+        [
+            pytest.param(lambda: imbalanced_rps3(3), [(0,), (1,), (1,)], id="pure"),
+            pytest.param(
+                lambda: random_table_rule(random.Random(5), 4, 4),
+                [(0, 1), (1, 2, 3), (0, 1), (0, 3)],
+                id="asymmetric mixed",
+            ),
+            pytest.param(lambda: imbalanced_rps(3, 2), [(0, 2, 4)] * 3, id="symmetric"),
+        ],
+    )
+    def test_uniform_support_fraction_profile(self, make, supports):
+        # The exact vectors whose count weights nash_gap convolves in
+        # integers; players 0 and 2 of the mixed profile share one vector
+        # object, and its last vector writes its zeros as int 0.
+        rule = make()
+        vector = {s: tuple(Fraction(int(o in s), len(s)) for o in range(rule.n)) for s in supports}
+        vectors = [vector[s] for s in supports]
+        if len(set(supports)) > 2:
+            vectors[-1] = tuple(p if p else 0 for p in vectors[-1])
+        profile = MixedProfile(vectors=tuple(vectors), symmetric=len(set(supports)) == 1)
+        assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
 
     def test_every_search_result_on_a_random_table(self):
         rule = random_table_rule(random.Random(8), 4, 3)
@@ -638,6 +678,49 @@ class TestUniformSupportEquilibria:
         mixers = ((0, half, half), (pure, 0, 0), (third, third, third))
         found = [p.vectors for p, _ in search_equilibria(rule, SearchConfig(seed=1))]
         assert set(permutations(mixers)) <= set(found)
+
+
+REPORT_GAMES = {
+    **NAMED_GAMES,
+    **{
+        f"table m={m} n={n} Random({seed})": random_table_rule(random.Random(seed), m, n)
+        for seed, m, n in ((1, 2, 5), (2, 3, 4), (3, 4, 3), (4, 4, 4), (5, 3, 5))
+    },
+}
+
+
+class TestVerifyFromTable:
+    """The search verifies its candidates from its own exact payoff table;
+    each report must be ``nash_gap``'s, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REPORT_GAMES))
+    def test_reports_equal_nash_gap(self, name):
+        rule = REPORT_GAMES[name]
+        found = search_equilibria(rule, SearchConfig(seed=1))
+        assert found
+        for profile, report in found:
+            assert report == nash_gap(rule, profile)
+
+    def test_benchmark_reports_equal_nash_gap(self, search_workload_games):
+        for game, seed in search_workload_games:
+            for profile, report in search_equilibria(game, SearchConfig(seed=seed)):
+                assert report == nash_gap(game, profile)
+
+    def test_non_equilibrium_candidates_are_rejected(self, monkeypatch):
+        rule = maximal_rps3(3)
+        want = [(p.vectors, r) for p, r in search_equilibria(rule, SearchConfig(seed=1))]
+        one, zero = Fraction(1), Fraction(0)
+        r, p = (one, zero, zero), (zero, one, zero)
+        third = (Fraction(1, 3),) * 3
+        bad = [(r, p, p), (p, p, p), (third, r, third)]
+        for cand in bad:
+            assert not nash_gap(rule, MixedProfile(cand)).is_eps_nash(1e-3)
+        enumerate_exact = equilibrium._uniform_support_equilibria
+        monkeypatch.setattr(
+            equilibrium, "_uniform_support_equilibria", lambda rule, rows: bad + enumerate_exact(rule, rows)
+        )
+        got = [(p.vectors, r) for p, r in search_equilibria(rule, SearchConfig(seed=1))]
+        assert got == want
 
 
 def _with_random_tables(base: dict, seed: int) -> dict:
