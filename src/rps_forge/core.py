@@ -127,8 +127,18 @@ def eval_outcome(rule: GameRule, counts: Sequence[int]) -> Outcome:
         raise GameError("empty choice multiset")
     if total > rule.m:
         raise GameError(f"{total} choices exceed the {rule.m}-player game")
+    _check_size(rule, total)
+    return _resolve(rule, counts, total)
+
+
+def _check_size(rule: GameRule, total: int) -> None:
     if rule.table_sizes is not None and not rule.supports_size(total):
         raise GameError(f"rule has no table entries for multisets of size {total}")
+
+
+def _resolve(rule: GameRule, counts: tuple[int, ...], total: int) -> Outcome:
+    """``eval_outcome`` of a counts vector that passed its input checks:
+    ``total`` choices of a supported size, no count negative."""
     if total in counts:  # no negative counts, so one object holds them all
         return all_tie(total)
     out = rule.winner_fn(counts)
@@ -205,12 +215,17 @@ def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:
     copies.  As ``W * c_o`` sums to ``m * n**(m-1)`` over all multisets,
     only ties need their counts; a decided multiset adds ``W`` to its
     winner.  The sums are integers over that common denominator.
+
+    Every multiset has ``m`` choices and well-formed counts, so the size
+    check runs once and each multiset goes straight to ``_resolve``, which
+    still checks what the rule returns.
     """
     m, n = rule.m, rule.n
+    _check_size(rule, m)
     won = [0] * n  # weight of the multisets each object wins
     tied = [0] * n  # sum of W * c_o over all-way ties
     for counts, weight in enumerate_multisets(n, m):
-        winner = eval_outcome(rule, counts).winner
+        winner = _resolve(rule, counts, m).winner
         if winner is None:
             for o, c in enumerate(counts):
                 tied[o] += weight * c

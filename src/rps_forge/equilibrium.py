@@ -154,6 +154,20 @@ class NashGapReport:
         return self.gap <= eps
 
 
+def _is_exact(v: Vector) -> bool:
+    """Whether every entry of ``v`` is an int or a ``Fraction``."""
+    return all(type(p) is Fraction or type(p) is int for p in v)
+
+
+def _scaled_to_integers(v: Vector) -> tuple[tuple[int, ...], int]:
+    """An exact vector as ``(numerators, d)`` over the lcm d of its
+    denominators: v[o] == numerators[o] / d."""
+    d = 1
+    for p in v:  # pairwise: unpacking a generator into math.lcm makes peak RSS creep
+        d = math.lcm(d, p.denominator)
+    return tuple(p.numerator * (d // p.denominator) for p in v), d
+
+
 def _count_weights(vectors: Sequence[Vector], n: int) -> list[tuple[tuple[int, ...], float]]:
     """``choice_count_distribution`` of ``vectors``, in its order, with each
     weight as the float of its exact value.  Where every entry is an int or
@@ -162,11 +176,11 @@ def _count_weights(vectors: Sequence[Vector], n: int) -> list[tuple[tuple[int, .
     rounds correctly, so ``ways / den`` is ``float(pr)``, without a
     ``Fraction`` per product.  Float products round at each step, so float
     vectors take the generic convolution."""
-    if all(type(p) is Fraction or type(p) is int for v in vectors for p in v):
+    if all(map(_is_exact, vectors)):
         den, scaled = 1, []
         for v in vectors:
-            d = math.lcm(*(p.denominator for p in v))
-            scaled.append(tuple(p.numerator * (d // p.denominator) for p in v))
+            numerators, d = _scaled_to_integers(v)
+            scaled.append(numerators)
             den *= d
         return [(c, ways / den) for c, ways in choice_count_distribution(scaled, n).items()]
     return [(c, float(pr)) for c, pr in choice_count_distribution(vectors, n).items()]
@@ -347,25 +361,29 @@ def expected_winner_count(vector: Sequence[Number], rule: GameRule) -> Number:
 
     An all-way tie counts every player as a winner.  Exact multiset
     enumeration; with n objects and m players this visits
-    C(m+n-1, n-1) outcomes.
+    C(m+n-1, n-1) outcomes, and skips those of probability zero.  An
+    exact vector (ints and ``Fraction``s) is first scaled to integers over
+    the lcm d of its denominators, so the sum runs in integers and one
+    ``Fraction`` is made over d**m at the end; it is an ``int`` when no
+    nonzero entry is a ``Fraction``.
     """
     v = tuple(vector)
     if len(v) != rule.n:
         raise GameError(f"profile has {len(v)} entries for {rule.n} objects")
     _check_distribution(v)
+    exact = _is_exact(v)
+    entries, d = _scaled_to_integers(v) if exact else (v, 1)
+    powers = [[x**c for c in range(rule.m + 1)] for x in entries]
     total: Number = 0
-    for counts, weight in enumerate_multisets(rule.n, rule.m):
-        pr: Number = weight
-        for o, c in enumerate(counts):
+    for counts, pr in enumerate_multisets(rule.n, rule.m):
+        for row, c in zip(powers, counts):
             if c:
-                pr = pr * v[o] ** c
-            if pr == 0:
-                break
-        if pr == 0:
-            continue
-        out = eval_outcome(rule, counts)
-        total += pr * out.winner_count
-    return total
+                pr = pr * row[c]
+        if pr:
+            total += pr * eval_outcome(rule, counts).winner_count
+    if exact and any(type(p) is Fraction and p for p in v):
+        return Fraction(total, d**rule.m)
+    return total  # with no nonzero Fraction entry, d is 1
 
 
 @dataclass(frozen=True)
@@ -389,7 +407,8 @@ def _payoff_table(rule: GameRule) -> tuple[dict[tuple[int, ...], tuple[int, ...]
         c: [_payoff_against(rule, o, c) for o in range(rule.n)]
         for c, _ in enumerate_multisets(rule.n, rule.m - 1)
     }
-    scale = math.lcm(*(x.denominator for row in exact.values() for x in row))
+    # a list, not a generator: see _scaled_to_integers
+    scale = math.lcm(*[x.denominator for row in exact.values() for x in row])
     return {c: tuple(int(x * scale) for x in row) for c, row in exact.items()}, scale
 
 

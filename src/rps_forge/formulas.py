@@ -14,8 +14,10 @@ independent routes are provided:
 
 * ``ev_raw`` evaluates the direct expectation sums, with per-player R
   probabilities.  The tie-count probabilities come from the exact
-  Poisson-binomial recurrence, one mixer at a time, so a call costs
-  O(k^2) rational operations.  It is the transparent oracle.
+  Poisson-binomial recurrence, one mixer at a time, as integer
+  numerators over one denominator, so a call costs O(k^2) integer
+  operations and makes one ``Fraction``, its result.  It is the
+  transparent oracle.
 * ``payoff_poly`` states the closed forms valid when all mixers share
   one probability r, as exact polynomials in (r, s); ``ev_simplified``
   evaluates them.  The two routes agree exactly (rational equality).
@@ -28,8 +30,8 @@ mixers to share one probability rests on corner sums whose strict
 negativity ``corner_value`` certifies; both are exposed for audit.  Each
 of their explicit sums adds integer numerators over one common
 denominator, the lcm of its term denominators or, at the s = 0 corner,
-(k+t)!, and makes a single ``Fraction``, which is then compared with the
-closed form.
+(k+t)!, and is compared with the closed form by cross-multiplying, so no
+``Fraction`` is made for a sum that is only compared.
 """
 
 from __future__ import annotations
@@ -149,21 +151,24 @@ def ev_simplified(role: Role, sc: Scenario) -> Fraction:
     return payoff_poly(role, sc.k, sc.t).eval_exact(Fraction(sc.r), Fraction(sc.s))
 
 
-def _count_r_distribution(r_vec: Sequence[Fraction]) -> list[Fraction]:
-    """P(exactly j of these players pick R) for j = 0..len.
+def _count_r_distribution(r_vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """P(exactly j of these players pick R) for j = 0..len, as integer
+    numerators ``ways`` over one denominator ``den``.
 
-    Poisson-binomial recurrence: after each player with probability r,
-    ``new[j] = dist[j]*(1-r) + dist[j-1]*r``.
+    Poisson-binomial recurrence in integers: after each player with
+    probability r = a/q, ``new[j] = ways[j]*(q-a) + ways[j-1]*a`` and
+    ``den`` is multiplied by q, so ``sum(ways) == den`` throughout.
     """
-    dist = [Fraction(1)]
+    ways, den = [1], 1
     for r in r_vec:
-        q = 1 - r
-        new = [d * q for d in dist]
-        new.append(Fraction(0))
-        for j, d in enumerate(dist):
-            new[j + 1] += d * r
-        dist = new
-    return dist
+        a, q = r.numerator, r.denominator
+        stay = q - a
+        new = [w * stay for w in ways]
+        new.append(0)
+        for j, w in enumerate(ways):
+            new[j + 1] += w * a
+        ways, den = new, den * q
+    return ways, den
 
 
 def ev_raw(
@@ -174,7 +179,9 @@ def ev_raw(
     Mixer roles are evaluated for the first mixer (``r_vec[0]``); a
     player's own mixing never enters the payoff of their pure deviation,
     so only ``r_vec[1:]`` matters for those roles.  Any k >= 1 is
-    accepted; the count distribution costs O(k^2) rational operations.
+    accepted.  The count distribution costs O(k^2) integer operations,
+    and the expectation is summed as integer numerators over one
+    denominator, so a call makes one ``Fraction``, its result.
     """
     if len(r_vec) != k:
         raise ScenarioError(f"expected {k} mixer probabilities, got {len(r_vec)}")
@@ -188,34 +195,40 @@ def ev_raw(
     player, choice = role.value.split(":")
     if player == "candidate":
         s = Fraction(0)  # the candidate is the only player who ever plays S
+    sn, sd = s.numerator, s.denominator
     m = k + t + 1
-    # P(exactly j of the other mixers pick R): a mixer's own mixing never
-    # enters the payoff of their pure deviation
-    dist = _count_r_distribution(rs[1:] if player == "mixer" else rs)
+    # P(exactly j of the other mixers pick R) is ways[j] / den: a mixer's
+    # own mixing never enters the payoff of their pure deviation
+    ways, den = _count_r_distribution(rs[1:] if player == "mixer" else rs)
     if choice == "R":
-        # with the candidate on S, the deviator and j R-picking mixers win
-        acc = sum(Fraction(m - (j + 1), j + 1) * p for j, p in enumerate(dist))
-        return s * acc - (1 - s)
+        # with the candidate on S, the deviator and j R-picking mixers win:
+        # s * acc - (1 - s) with acc = num / (d * den)
+        num, d = _common_denominator_sum([((m - (j + 1)) * w, j + 1) for j, w in enumerate(ways)])
+        return Fraction(sn * num - (sd - sn) * d * den, sd * d * den)
     if choice == "P":
         # with the candidate on P and j mixers picking P, w = j + t + 2
-        # (for a mixer) or j + t + 1 P-players win
+        # (for a mixer) or j + t + 1 P-players win: (1 - s) * acc - s
         base = t + 2 if player == "mixer" else t + 1
-        acc = sum(
-            Fraction(m - (j + base), j + base) * p for j, p in enumerate(reversed(dist))
+        num, d = _common_denominator_sum(
+            [((m - (j + base)) * w, j + base) for j, w in enumerate(reversed(ways))]
         )
-        return (1 - s) * acc - s
-    quiet = dist[0]  # every other mixer picked P
-    return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
+        return Fraction((sd - sn) * num - sn * d * den, sd * d * den)
+    # every other mixer picked P with chance quiet = ways[0] / den; the
+    # payoff quiet * ((1-s)(k+t) + s(k+t-1)/2) - (1 - quiet) is over 2 sd den
+    quiet = ways[0]
+    win = 2 * (sd - sn) * (k + t) + sn * (k + t - 1)
+    return Fraction(quiet * win - 2 * sd * (den - quiet), 2 * sd * den)
 
 
-def _common_denominator_sum(terms: Sequence[tuple[int, int]]) -> Fraction:
-    """Exact sum of the fractions ``num/den`` given as integer pairs: the
-    numerators are added over the lcm of the denominators, built pairwise,
-    and one ``Fraction`` is made at the end."""
+def _common_denominator_sum(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of the fractions ``num/den`` given as integer pairs, as
+    ``(numerator, denominator)``: the numerators are added over the lcm of
+    the denominators, built pairwise (unpacking a generator into
+    ``math.lcm`` makes the process's peak RSS creep)."""
     den = 1
     for _, d in terms:
         den = lcm(den, d)
-    return Fraction(sum(num * (den // d) for num, d in terms), den)
+    return sum(num * (den // d) for num, d in terms), den
 
 
 def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
@@ -243,20 +256,21 @@ def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
         raise ScenarioError(f"committed player count must be >= 0, got {t}")
     m = k + t + 1
 
-    sum1 = _common_denominator_sum(
+    num1, den1 = _common_denominator_sum(
         [((m - (kk + 1)) * (-1) ** kk * comb(b, kk), kk + 1) for kk in range(b + 1)]
     )
-    closed1 = Fraction(m, 1 + b) - (1 if b == 0 else 0)
+    cnum1, cden1 = (m - 1, 1) if b == 0 else (m, 1 + b)
 
-    sum2 = _common_denominator_sum(
+    num2, den2 = _common_denominator_sum(
         [
             ((k - kk - 1) * (-1) ** (b - (k - 1) + kk) * comb(b, (k - 1) - kk), kk + t + 2)
             for kk in range(k - 1 - b, k)
         ]
     )
-    closed2 = Fraction(1, comb(k + t, b)) if b >= 1 else Fraction(0)
+    cnum2, cden2 = (1, comb(k + t, b)) if b >= 1 else (0, 1)
 
-    return sum1 == closed1, sum2 == closed2
+    # both denominators are positive, so cross-multiplying compares
+    return num1 * cden1 == cnum1 * den1, num2 * cden2 == cnum2 * den2
 
 
 def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
@@ -284,19 +298,18 @@ def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
     if s_corner == 0:
         # (k+t)!/C(k+t, b) = b!(k+t-b)!, so (k+t)! is a common denominator.
         n = k + t
-        total = Fraction(
-            -sum(factorial(b) * factorial(n - b) * comb(l, b - 1) for b in range(1, l + 2)),
-            factorial(n),
-        )
-        closed = Fraction(-m, (k + t - l) * (k + t + 1 - l))
+        num = -sum(factorial(b) * factorial(n - b) * comb(l, b - 1) for b in range(1, l + 2))
+        den = factorial(n)
+        cnum, cden = -m, (k + t - l) * (k + t + 1 - l)
     else:
-        total = _common_denominator_sum(
+        num, den = _common_denominator_sum(
             [((-1) ** b * m * comb(l, b - 1), 1 + b) for b in range(1, l + 2)]
         )
-        closed = Fraction(-m, (1 + l) * (2 + l))
-    if total != closed:
+        cnum, cden = -m, (1 + l) * (2 + l)
+    if num * cden != cnum * den:
         raise ScenarioError(
-            f"corner sum {total} disagrees with closed form {closed} "
+            f"corner sum {Fraction(num, den)} disagrees with closed form {Fraction(cnum, cden)} "
             f"at k={k}, t={t}, l={l}, s={s_corner}"
         )
-    return total
+    # the sum's value, from the smaller closed form
+    return Fraction(cnum, cden)

@@ -371,6 +371,27 @@ class TestUniformExpectedPayoffs:
         rule = GameRule(m=1, labels=("a", "b", "c"), winner_fn=never)
         assert uniform_expected_payoffs(rule) == per_object_uniform_payoffs(rule) == [0, 0, 0]
 
+    def test_rejects_a_table_without_entries_of_size_m(self):
+        table = {(1, 1, 0): win(0, 1), (1, 0, 1): win(2, 1), (0, 1, 1): win(1, 1)}
+        rule = GameRule(m=3, labels=("a", "b", "c"), winner_fn=TableRule(table),
+                        table_sizes=frozenset({2}))
+        with pytest.raises(GameError, match="no table entries for multisets of size 3"):
+            uniform_expected_payoffs(rule)
+
+    def test_rejects_a_winner_absent_from_the_multiset(self):
+        rule = GameRule(m=3, labels=("a", "b", "c"), winner_fn=lambda counts: win(0, 1))
+        with pytest.raises(GameError, match="rule names absent object 'a'"):
+            uniform_expected_payoffs(rule)
+
+    def test_rejects_a_wrong_winner_count(self):
+        def overcount(counts):
+            o = max(range(len(counts)), key=counts.__getitem__)
+            return win(o, counts[o] + 1)
+
+        rule = GameRule(m=3, labels=("a", "b", "c"), winner_fn=overcount)
+        with pytest.raises(GameError, match="winner_count disagrees"):
+            uniform_expected_payoffs(rule)
+
     def test_matches_ordered_oracle_on_random_rules(self):
         rng = random.Random(99)
         for _ in range(6):

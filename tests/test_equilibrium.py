@@ -401,10 +401,57 @@ class TestBracketing:
         assert got == [(i / 128, 0.0, (i + 1) / 128) for i in range(128)]
 
 
+def reference_winner_count(v, rule):
+    """``expected_winner_count`` summed with one product per multiset in the
+    vector's own number type, skipping outcomes of probability zero."""
+    from rps_forge.core import eval_outcome
+
+    total = 0
+    for counts, weight in enumerate_multisets(rule.n, rule.m):
+        pr = weight
+        for o, c in enumerate(counts):
+            if c:
+                pr = pr * v[o] ** c
+        if pr != 0:
+            total += pr * eval_outcome(rule, counts).winner_count
+    return total
+
+
 class TestExpectedWinnerCount:
     def test_pure_monoset_profile(self):
         rule = imbalanced_rps3(5)
         assert expected_winner_count((0, 1, 0), rule) == 5
+
+    @pytest.mark.parametrize(
+        "vector, kind",
+        [
+            ((0, 1, 0), int),
+            ((1, 0, 0), int),
+            ((1, Fraction(0), 0), int),  # a Fraction zero leaves the sum in ints
+            ((Fraction(0), Fraction(1), Fraction(0)), Fraction),
+            ((Fraction(142, 1000), Fraction(850, 1000), Fraction(8, 1000)), Fraction),
+            ((Fraction(1, 7), Fraction(2, 9), Fraction(40, 63)), Fraction),
+            ((Fraction(1, 2), 0, Fraction(1, 2)), Fraction),
+            ((0.142, 0.85, 0.008), float),
+            ((0.5, Fraction(1, 4), 0.25), float),
+            ((1.0, 0, 0), float),
+        ],
+    )
+    def test_value_and_type_match_the_generic_sum(self, vector, kind):
+        for m in (2, 3, 7, 20):
+            rule = imbalanced_rps3(m)
+            got = expected_winner_count(vector, rule)
+            want = reference_winner_count(vector, rule)
+            assert type(got) is type(want) is kind
+            assert got == want
+            if kind is float:
+                assert got.hex() == want.hex()
+
+    def test_solver_point_matches_the_generic_sum_bit_for_bit(self):
+        for m in (2, 5, 12, 20):
+            v = solve_symmetric_rps3(m).as_vector()
+            got = expected_winner_count(v, imbalanced_rps3(m))
+            assert got.hex() == reference_winner_count(v, imbalanced_rps3(m)).hex()
 
     @pytest.mark.parametrize(
         "vector, message",

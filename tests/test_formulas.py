@@ -70,6 +70,32 @@ def reference_corner_value(k, t, l, s_corner):
     return total
 
 
+def reference_ev_raw(role, k, t, r_vec, s):
+    """``ev_raw`` built with one ``Fraction`` per operation: the
+    Poisson-binomial recurrence over ``Fraction`` probabilities, then the
+    direct expectation sums."""
+    s = Fraction(s)
+    player, choice = role.value.split(":")
+    if player == "candidate":
+        s = Fraction(0)
+    m = k + t + 1
+    dist = [Fraction(1)]
+    for r in (r_vec[1:] if player == "mixer" else r_vec):
+        new = [d * (1 - r) for d in dist] + [Fraction(0)]
+        for j, d in enumerate(dist):
+            new[j + 1] += d * r
+        dist = new
+    if choice == "R":
+        acc = sum(Fraction(m - (j + 1), j + 1) * p for j, p in enumerate(dist))
+        return s * acc - (1 - s)
+    if choice == "P":
+        base = t + 2 if player == "mixer" else t + 1
+        acc = sum(Fraction(m - (j + base), j + base) * p for j, p in enumerate(reversed(dist)))
+        return (1 - s) * acc - s
+    quiet = dist[0]
+    return quiet * ((1 - s) * (k + t) + s * Fraction(k + t - 1, 2)) - (1 - quiet)
+
+
 def all_roles_for(t: int):
     return [r for r in Role if t > 0 or r not in COMMITTED_ROLES]
 
@@ -166,7 +192,8 @@ class TestRawOracle:
     def test_count_distribution_matches_per_count_enumeration(self):
         from rps_forge.formulas import _count_r_distribution
 
-        assert _count_r_distribution([]) == [1]
+        # integer numerators ``ways`` over one denominator ``den``
+        assert _count_r_distribution([]) == ([1], 1)
         rng = random.Random(2026)
         for n in range(13):
             for _ in range(2):
@@ -176,9 +203,29 @@ class TestRawOracle:
                     else Fraction(rng.randint(1, 999), rng.randint(1000, 1999))
                     for _ in range(n)
                 ]
-                dist = _count_r_distribution(vec)
-                assert sum(dist) == 1
+                ways, den = _count_r_distribution(vec)
+                assert all(type(w) is int for w in ways) and type(den) is int
+                assert sum(ways) == den
+                dist = [Fraction(w, den) for w in ways]
                 assert dist == [count_r_probability(vec, c) for c in range(n + 1)], vec
+
+    def test_matches_fraction_recurrence_on_mixed_vectors(self):
+        # per-player r with differing denominators, exact 0 and 1 entries,
+        # and int entries, over every role and k <= 12
+        rng = random.Random(4242)
+        for k in range(1, 13):
+            for role in Role:
+                for _ in range(3):
+                    t = rng.randint(1 if role in COMMITTED_ROLES else 0, 8)
+                    vec = [
+                        rng.choice((0, 1, Fraction(0), Fraction(1))) if rng.random() < 0.3
+                        else Fraction(rng.randint(0, 97), rng.choice((97, 128, 1000, 1001)))
+                        for _ in range(k)
+                    ]
+                    s = rng.choice((0, 1, Fraction(rng.randint(0, 60), 61)))
+                    got = ev_raw(role, k, t, vec, s)
+                    assert type(got) is Fraction
+                    assert got == reference_ev_raw(role, k, t, vec, s), (role, k, t, vec, s)
 
 
 class TestRawMatchesGame:
