@@ -45,13 +45,25 @@ class SolverError(RuntimeError):
 
 
 def _check_distribution(v: Vector) -> None:
-    """Raise ``GameError`` unless ``v`` is a probability vector."""
-    if any(p < 0 for p in v):
+    """Raise ``GameError`` unless ``v`` is a probability vector whose
+    entries and sum are within the float range.  An exact ``v`` is checked
+    in integers (``_scaled_to_integers``); int / int division rounds its
+    sum to ``float(sum(v))``, the float that verdict and message read."""
+    ints = _scaled_to_integers(v)
+    if any(p < 0 for p in (ints[0] if ints else v)):
         raise GameError(f"negative probability in {v}")
-    if not all(map(math.isfinite, v)):  # NaN passes the other two checks
-        raise GameError(f"non-finite probability in {v}")
-    if abs(float(sum(v)) - 1.0) > PROB_SUM_TOL:
-        raise GameError(f"probabilities sum to {float(sum(v))}, not 1")
+    try:
+        if ints:
+            total = sum(ints[0]) / ints[1]
+        elif all(map(math.isfinite, v)):  # NaN passes the other two checks
+            total = float(sum(v))
+        else:
+            raise GameError(f"non-finite probability in {v}")
+    except OverflowError:
+        # No v in the message: an int of over 4,300 digits has no str.
+        raise GameError("probabilities exceed the float range") from None
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise GameError(f"probabilities sum to {total}, not 1")
 
 
 def _check_shape(rule: GameRule, profile: MixedProfile) -> None:
@@ -154,34 +166,46 @@ class NashGapReport:
         return self.gap <= eps
 
 
-def _is_exact(v: Vector) -> bool:
-    """Whether every entry of ``v`` is an int or a ``Fraction``."""
-    return all(type(p) is Fraction or type(p) is int for p in v)
-
-
-def _scaled_to_integers(v: Vector) -> tuple[tuple[int, ...], int]:
-    """An exact vector as ``(numerators, d)`` over the lcm d of its
-    denominators: v[o] == numerators[o] / d."""
+def _scaled_to_integers(v: Vector) -> tuple[tuple[int, ...], int] | None:
+    """An exact vector, every entry an int or a ``Fraction``, as
+    ``(numerators, d)`` over the lcm d of its denominators:
+    v[o] == numerators[o] / d.  None for any other vector."""
+    if not all(type(p) is Fraction or type(p) is int for p in v):
+        return None
     d = 1
     for p in v:  # pairwise: unpacking a generator into math.lcm makes peak RSS creep
         d = math.lcm(d, p.denominator)
     return tuple(p.numerator * (d // p.denominator) for p in v), d
 
 
-def _count_weights(vectors: Sequence[Vector], n: int) -> list[tuple[tuple[int, ...], float]]:
+def _view(v: Vector, memo: dict) -> tuple[tuple[float, ...], tuple[tuple[int, ...], int] | None]:
+    """``v``'s float view and, for an exact ``v``, its integer form
+    ``(numerators, d)`` (``_scaled_to_integers``), made once per object and
+    kept in ``memo`` under ``id(v)``.  Each float is ``float(p)``: int / int
+    division rounds correctly."""
+    got = memo.get(id(v))
+    if got is None:
+        ints = _scaled_to_integers(v)
+        floats = tuple(x / ints[1] for x in ints[0]) if ints else tuple(map(float, v))
+        got = memo[id(v)] = (floats, ints)
+    return got
+
+
+def _count_weights(
+    vectors: Sequence[Vector], n: int, memo: dict
+) -> list[tuple[tuple[int, ...], float]]:
     """``choice_count_distribution`` of ``vectors``, in its order, with each
     weight as the float of its exact value.  Where every entry is an int or
-    a ``Fraction``, each vector is scaled to integers over its common
-    denominator and the picks are convolved in integers: int / int division
-    rounds correctly, so ``ways / den`` is ``float(pr)``, without a
-    ``Fraction`` per product.  Float products round at each step, so float
-    vectors take the generic convolution."""
-    if all(map(_is_exact, vectors)):
-        den, scaled = 1, []
-        for v in vectors:
-            numerators, d = _scaled_to_integers(v)
-            scaled.append(numerators)
-            den *= d
+    a ``Fraction``, the picks are convolved in integers, each vector's
+    integer form read from ``memo`` (``_view``), and divided by the product
+    of their denominators: int / int division rounds correctly, so
+    ``ways / den`` is ``float(pr)``, without a ``Fraction`` per product.
+    Float products round at each step, so float vectors take the generic
+    convolution."""
+    forms = [_view(v, memo)[1] for v in vectors]
+    if all(forms):
+        den = math.prod(d for _, d in forms)
+        scaled = [numerators for numerators, _ in forms]
         return [(c, ways / den) for c, ways in choice_count_distribution(scaled, n).items()]
     return [(c, float(pr)) for c, pr in choice_count_distribution(vectors, n).items()]
 
@@ -190,30 +214,32 @@ def _gap_report(
     vectors: tuple[Vector, ...],
     n: int,
     row: Callable[[tuple[int, ...]], tuple[float, ...]],
-    seen: dict[tuple[int, ...], list[float]],
+    memo: dict,
 ) -> NashGapReport:
     """The deviation gaps of ``vectors``, with ``row(counts)`` the float
     payoff of every object against the opponent count vector ``counts``.
 
-    ``seen`` maps the ids of a player's ordered opponent vectors to their
-    payoff vector; the caller keeps every vector it has seen alive, so an
-    id names one object.  A player whose opponents are the very objects of
-    an earlier player's reuses that payoff vector, so a symmetric profile
-    builds one count distribution.  Each payoff sums its terms in
-    distribution order, so the float operations, and hence the report, are
-    those of evaluating every player on their own."""
+    ``memo`` lives for one search or ``nash_gap`` call.  It maps the ids
+    of a player's ordered opponent vectors, as a tuple, to their payoff
+    vector, and a vector's id, as an int, to its ``_view``; the caller
+    keeps every vector it has seen alive, so an id names one object.  A
+    player whose opponents are the very objects of an earlier player's
+    reuses that payoff vector, so a symmetric profile builds one count
+    distribution.  Each payoff sums its terms in distribution order, so
+    the float operations, and hence the report, are those of evaluating
+    every player on their own."""
     per_player: list[tuple[float, ...]] = []
     gaps: list[float] = []
     for i, mine in enumerate(vectors):
         others = vectors[:i] + vectors[i + 1 :]
         key = tuple(map(id, others))
-        u = seen.get(key)
+        u = memo.get(key)
         if u is None:
             u = [0.0] * n
-            for counts, pr in _count_weights(others, n):
+            for counts, pr in _count_weights(others, n, memo):
                 u = [t + pr * x for t, x in zip(u, row(counts))]
-            seen[key] = u
-        current = sum(float(p) * uo for p, uo in zip(mine, u))
+            memo[key] = u
+        current = sum(p * uo for p, uo in zip(_view(mine, memo)[0], u))
         gaps.append(max(0.0, max(u) - current))
         per_player.append(tuple(u))
     return NashGapReport(payoffs=tuple(per_player), gaps=tuple(gaps), gap=max(gaps))
@@ -371,8 +397,8 @@ def expected_winner_count(vector: Sequence[Number], rule: GameRule) -> Number:
     if len(v) != rule.n:
         raise GameError(f"profile has {len(v)} entries for {rule.n} objects")
     _check_distribution(v)
-    exact = _is_exact(v)
-    entries, d = _scaled_to_integers(v) if exact else (v, 1)
+    ints = _scaled_to_integers(v)
+    entries, d = ints or (v, 1)
     powers = [[x**c for c in range(rule.m + 1)] for x in entries]
     total: Number = 0
     for counts, pr in enumerate_multisets(rule.n, rule.m):
@@ -381,7 +407,7 @@ def expected_winner_count(vector: Sequence[Number], rule: GameRule) -> Number:
                 pr = pr * row[c]
         if pr:
             total += pr * eval_outcome(rule, counts).winner_count
-    if exact and any(type(p) is Fraction and p for p in v):
+    if ints and any(type(p) is Fraction and p for p in v):
         return Fraction(total, d**rule.m)
     return total  # with no nonzero Fraction entry, d is 1
 
@@ -710,8 +736,10 @@ def search_equilibria(
     ``_gap_report``, with payoff rows read from the table as x / scale,
     which int / int division rounds as ``float`` rounds ``_payoff_against``,
     and with integer count weights for the exact vectors, so each report
-    is ``nash_gap``'s bit for bit.  A root is dropped when it lies within
-    sup distance ``_DEDUP`` of a profile already kept, so an exact profile
+    is ``nash_gap``'s bit for bit.  Every candidate shares one memo, so each
+    vector object is scaled to integers and converted to floats once.  A
+    root is dropped when it lies within sup distance ``_DEDUP`` of a profile
+    already kept, compared through those float views, so an exact profile
     is the one reported where a float root lies that close to it.
     The list may be empty (inconclusive); it is never claimed exhaustive.
     """
@@ -729,30 +757,28 @@ def search_equilibria(
     ]
 
     floats = {c: tuple(x / scale for x in row) for c, row in rows.items()}
-    # ``_gap_report``'s payoff vectors, shared by every candidate: ``exact``
-    # and ``roots`` keep the vectors whose ids key it alive.
-    payoffs: dict[tuple[int, ...], list[float]] = {}
+    # ``_gap_report``'s memo, shared by every candidate: ``exact`` and
+    # ``roots`` keep the vectors whose ids key it alive.
+    memo: dict = {}
     exact = _uniform_support_equilibria(rule, rows)
     verified: list[tuple[MixedProfile, NashGapReport]] = []
     for cand in exact:
-        report = _gap_report(cand, rule.n, floats.__getitem__, payoffs)
+        report = _gap_report(cand, rule.n, floats.__getitem__, memo)
         if report.is_eps_nash(config.eps):
             # Each support has one vector object, so equal vectors are one object.
             verified.append((MixedProfile(cand, symmetric=all(v is cand[0] for v in cand)), report))
     # Distinct uniform-support profiles differ by 1/20 or more in some
-    # entry, so only the roots are checked against what is kept.
-    seen: list[tuple[float, ...]] = []
-    view: dict[int, tuple[float, ...]] = {}
-    for profile, _ in verified if roots else ():
-        for v in profile.vectors:
-            if id(v) not in view:
-                view[id(v)] = tuple(map(float, v))
-        seen.append(tuple(x for v in profile.vectors for x in view[id(v)]))
+    # entry, so only the roots are checked against what is kept, through
+    # the float views ``_gap_report`` left in the memo.
+    seen = [
+        tuple(x for v in profile.vectors for x in _view(v, memo)[0])
+        for profile, _ in (verified if roots else ())
+    ]
     for v in sorted(roots):
         flat = v * rule.m
         if any(max(abs(a - b) for a, b in zip(flat, prev)) < _DEDUP for prev in seen):
             continue
-        report = _gap_report((v,) * rule.m, rule.n, floats.__getitem__, payoffs)
+        report = _gap_report((v,) * rule.m, rule.n, floats.__getitem__, memo)
         if report.is_eps_nash(config.eps):
             verified.append((symmetric_profile(v, rule.m), report))
             seen.append(flat)

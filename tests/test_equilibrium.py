@@ -17,7 +17,10 @@ from the same exact Bernstein coefficients: f must lie within the
 exclusion's float margin of the exact value, and the Jacobian must be
 the exact derivative up to rounding.  The search verifies its candidates
 from its own table: every report must equal ``nash_gap``'s bit for bit,
-and a candidate that is no equilibrium must be dropped.
+and a candidate that is no equilibrium must be dropped, also when the
+candidates share one memo of payoff vectors and per-object views.  A
+vector of ints and ``Fraction``s is checked as a distribution in
+integers, with the verdict and message of the float checks.
 """
 
 import hashlib
@@ -51,6 +54,7 @@ from rps_forge.equilibrium import (
     symmetric_profile,
     uniform_profile,
 )
+from rps_forge.imbalance import nash_ties_imbalance
 
 
 def float_rows(rule):
@@ -115,6 +119,88 @@ class TestMixedProfile:
         v = (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
         p = MixedProfile(vectors=(v, v, (Fraction(0), Fraction(1), Fraction(0))))
         assert p.vectors[0] == v and not p.symmetric
+
+
+BIG = 10**13 + 1
+ONE_THIRD, ONE_SEVENTH = Fraction(1, 3), Fraction(1, 7)
+# Entries are ints and Fractions, so each takes the integer check.
+EXACT_ACCEPTED = [
+    pytest.param((ONE_THIRD,) * 3, id="thirds, sum 1"),
+    pytest.param((ONE_SEVENTH, 2 * ONE_SEVENTH, 4 * ONE_SEVENTH), id="sevenths, sum 1"),
+    pytest.param((Fraction(1, BIG), Fraction(BIG - 1, BIG), 0), id="denominator 10**13+1"),
+    pytest.param((ONE_THIRD, ONE_THIRD, ONE_THIRD + Fraction(1, 10**13)), id="sum 1 + 1e-13"),
+    pytest.param((ONE_THIRD, ONE_THIRD, ONE_THIRD - Fraction(1, 10**13)), id="sum 1 - 1e-13"),
+    pytest.param((1, 0, 0), id="one-hot int"),
+    pytest.param((0, 0, 1), id="one-hot int, last"),
+    pytest.param((Fraction(1, 2), 0, Fraction(1, 2)), id="mixed int and Fraction"),
+    pytest.param((Fraction(0), Fraction(1), Fraction(0)), id="Fraction zeros"),
+]
+EXACT_REJECTED = [
+    pytest.param((ONE_THIRD, ONE_THIRD, ONE_THIRD + Fraction(1, 10**11)), id="sum 1 + 1e-11"),
+    pytest.param((ONE_THIRD, ONE_THIRD, ONE_THIRD - Fraction(1, 10**11)), id="sum 1 - 1e-11"),
+    pytest.param((Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)), id="negative Fraction"),
+    pytest.param((ONE_SEVENTH, ONE_THIRD, 0), id="sevenths and thirds, sum 10/21"),
+    pytest.param((Fraction(10**13, BIG), Fraction(10**13, BIG), 0), id="denominator 10**13+1, sum 2"),
+    pytest.param((1, 1, 0), id="two-hot int"),
+    pytest.param((0, 0, 0), id="int zeros"),
+    pytest.param((Fraction(1, 2), 0, Fraction(0)), id="mixed int and Fraction, sum 1/2"),
+]
+
+
+def float_check_message(v):
+    """The message the checks built from float values before the integer
+    check: the negative entry, or the float of the exact sum."""
+    if any(p < 0 for p in v):
+        return f"negative probability in {v}"
+    return f"probabilities sum to {float(sum(v))}, not 1"
+
+
+def exact_check_sites(v):
+    """Every public caller of the distribution check, on the vector ``v``
+    of three entries."""
+    yield lambda: MixedProfile((v,))
+    yield lambda: expected_winner_count(v, imbalanced_rps3(3))
+    yield lambda: nash_ties_imbalance([v], 3)
+
+
+class TestExactDistributionCheck:
+    """Vectors of ints and ``Fraction``s are checked in integers over one
+    denominator; verdicts and messages must be those of the float checks."""
+
+    @pytest.mark.parametrize("v", EXACT_ACCEPTED)
+    def test_accepted(self, v):
+        assert abs(float(sum(v)) - 1.0) <= equilibrium.PROB_SUM_TOL
+        for call in exact_check_sites(v):
+            call()
+
+    @pytest.mark.parametrize("v", EXACT_REJECTED)
+    def test_rejected_with_the_float_message(self, v):
+        for call in exact_check_sites(v):
+            with pytest.raises(GameError) as info:
+                call()
+            assert str(info.value) == float_check_message(v)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # Each once raised OverflowError from a float conversion.
+            pytest.param(lambda: MixedProfile(((Fraction(10**400), Fraction(0)),)), id="MixedProfile"),
+            pytest.param(lambda: MixedProfile(((10**400, 0.0),)), id="MixedProfile, int and float"),
+            pytest.param(
+                lambda: MixedProfile(((Fraction(10**308), Fraction(10**308)),)), id="MixedProfile, sum"
+            ),
+            pytest.param(
+                lambda: expected_winner_count((10**400, 0, 0), imbalanced_rps3(3)),
+                id="expected_winner_count",
+            ),
+            pytest.param(lambda: nash_ties_imbalance([(10**400, 0)], 2), id="nash_ties_imbalance"),
+            # More digits than an int may print: the message leaves the vector out.
+            pytest.param(lambda: MixedProfile(((10**5000, 0),)), id="MixedProfile, 5001 digits"),
+        ],
+    )
+    def test_beyond_the_float_range_rejected(self, call):
+        with pytest.raises(GameError, match="exceed the float range"):
+            call()
 
 
 class TestChoiceCountDistribution:
@@ -768,6 +854,34 @@ class TestVerifyFromTable:
         )
         got = [(p.vectors, r) for p, r in search_equilibria(rule, SearchConfig(seed=1))]
         assert got == want
+
+
+class TestGapReportMemo:
+    """``_gap_report`` keeps one memo across candidates, keyed by vector
+    object; reusing it must never change a report."""
+
+    @pytest.mark.parametrize("rule", [imbalanced_rps3(2), maximal_rps3(3)], ids=["m=2", "m=3"])
+    def test_shared_memo_reports_equal_fresh_nash_gap(self, rule):
+        half = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        pool = [
+            half,
+            tuple(list(half)),  # an equal copy, a separate object
+            (0.5, 0.5, 0.0),  # floats equal in value to ``half``
+            (Fraction(1, 3),) * 3,
+            (0, 1, 0),
+        ]
+        assert pool[1] is not half and pool[1] == half == pool[2]
+        # Each vector object at every player position, across candidates.
+        cands = list(product(pool, repeat=rule.m))
+        row = float_rows(rule).__getitem__
+        memo = {}
+        for cand in cands + cands[::-1]:
+            got = equilibrium._gap_report(cand, rule.n, row, memo)
+            assert got == nash_gap(rule, MixedProfile(cand))
+        views = [memo[id(v)] for v in pool]
+        assert views[0] is not views[1] and views[0] == views[1]
+        assert views[2] == (pool[2], None)
+        assert views[0] == (pool[2], ((1, 1, 0), 2))
 
 
 def _with_random_tables(base: dict, seed: int) -> dict:
