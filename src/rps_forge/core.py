@@ -23,6 +23,25 @@ class GameError(ValueError):
     """Domain error: malformed game, choices, or outcome."""
 
 
+def _shown(value) -> str:
+    """``str(value)`` for an error message.  An int past Python's
+    int-to-string limit (``sys.get_int_max_str_digits``) has no ``str``, so
+    it shows as its bit length, alone or inside a tuple, list or
+    ``Fraction``."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    if isinstance(value, Fraction):
+        return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
+    items = ", ".join(map(_shown, value))
+    if isinstance(value, list):
+        return f"[{items}]"
+    return f"({items},)" if len(value) == 1 else f"({items})"
+
+
 @dataclass(frozen=True)
 class Outcome:
     """Result of one step: a unique winning object, or an all-way tie.
@@ -105,7 +124,7 @@ class GameRule:
 def tie_payoff(m: int, winners: int) -> Fraction:
     """Exact payoff to each of ``winners`` tied winners among ``m`` players."""
     if winners < 1 or winners > m:
-        raise GameError(f"winner count {winners} out of range 1..{m}")
+        raise GameError(f"winner count {_shown(winners)} out of range 1..{_shown(m)}")
     return Fraction(m - winners, winners)
 
 
@@ -121,12 +140,12 @@ def eval_outcome(rule: GameRule, counts: Sequence[int]) -> Outcome:
             f"counts vector has {len(counts)} entries for a {rule.n}-object game"
         )
     if min(counts) < 0:
-        raise GameError(f"negative count in {counts}")
+        raise GameError(f"negative count in {_shown(counts)}")
     total = sum(counts)
     if total < 1:
         raise GameError("empty choice multiset")
     if total > rule.m:
-        raise GameError(f"{total} choices exceed the {rule.m}-player game")
+        raise GameError(f"{_shown(total)} choices exceed the {rule.m}-player game")
     _check_size(rule, total)
     return _resolve(rule, counts, total)
 
@@ -164,7 +183,7 @@ def payoff_vector(rule: GameRule, ordered_choices: Sequence[int | str]) -> list[
     picks = [c if isinstance(c, int) else rule.index_of(c) for c in ordered_choices]
     for p in picks:
         if not 0 <= p < rule.n:
-            raise GameError(f"object index {p} out of range for {rule.n} objects")
+            raise GameError(f"object index {_shown(p)} out of range for {rule.n} objects")
     counts = [0] * rule.n
     for p in picks:
         counts[p] += 1
@@ -180,24 +199,32 @@ def enumerate_multisets(n: int, size: int) -> Iterator[tuple[tuple[int, ...], in
     paired with its multinomial weight ``size! / prod(counts!)``.
 
     Vectors come lazily, in lexicographic order, each weight a product of
-    binomials ``C(remaining, c)``.  Weights sum to ``n ** size``.
+    binomials ``C(remaining, c)``.  Weights sum to ``n ** size``.  A
+    generator walks the first ``n - 2`` slots; the last two come from a
+    plain loop here, so each vector costs one tuple concatenation and one
+    binomial, not a resumption per slot.
     """
     if n < 1:
         raise GameError("need at least one object")
     if size < 0:
         raise GameError("multiset size must be nonnegative")
-    yield from _multisets((), size, n, 1)
+    if n == 1:
+        yield (size,), 1
+        return
+    for prefix, rest, weight in _prefixes((), size, n - 2, 1) if n > 2 else [((), size, 1)]:
+        for c in range(rest + 1):
+            yield prefix + (c, rest - c), weight * comb(rest, c)
 
 
-def _multisets(prefix: tuple[int, ...], remaining: int, slots: int, weight: int):
+def _prefixes(prefix: tuple[int, ...], remaining: int, slots: int, weight: int):
+    """``(prefix + p, remaining - sum(p), weight * w)`` for every way ``p``
+    to fill ``slots >= 1`` more slots, ``w`` being its product of binomials."""
     if slots == 1:
-        yield prefix + (remaining,), weight
-    elif slots == 2:
         for c in range(remaining + 1):
-            yield prefix + (c, remaining - c), weight * comb(remaining, c)
+            yield prefix + (c,), remaining - c, weight * comb(remaining, c)
     else:
         for c in range(remaining + 1):
-            yield from _multisets(prefix + (c,), remaining - c, slots - 1, weight * comb(remaining, c))
+            yield from _prefixes(prefix + (c,), remaining - c, slots - 1, weight * comb(remaining, c))
 
 
 def uniform_expected_payoffs(rule: GameRule) -> list[Fraction]:

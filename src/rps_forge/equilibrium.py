@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import GameError, GameRule, enumerate_multisets, eval_outcome, tie_payoff
+from .core import GameError, GameRule, _shown, enumerate_multisets, eval_outcome, tie_payoff
 
 Number = float | Fraction
 Vector = tuple[Number, ...]
@@ -51,16 +51,16 @@ def _check_distribution(v: Vector) -> None:
     sum to ``float(sum(v))``, the float that verdict and message read."""
     ints = _scaled_to_integers(v)
     if any(p < 0 for p in (ints[0] if ints else v)):
-        raise GameError(f"negative probability in {v}")
+        raise GameError(f"negative probability in {_shown(v)}")
     try:
         if ints:
             total = sum(ints[0]) / ints[1]
         elif all(map(math.isfinite, v)):  # NaN passes the other two checks
             total = float(sum(v))
         else:
-            raise GameError(f"non-finite probability in {v}")
+            raise GameError(f"non-finite probability in {_shown(v)}")
     except OverflowError:
-        # No v in the message: an int of over 4,300 digits has no str.
+        # an entry or the sum is past the float range
         raise GameError("probabilities exceed the float range") from None
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise GameError(f"probabilities sum to {total}, not 1")

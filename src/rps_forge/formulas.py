@@ -28,10 +28,11 @@ The closed forms rest on two alternating binomial identities whose sums
 ``identity_check`` evaluates exactly, and the step that forces all
 mixers to share one probability rests on corner sums whose strict
 negativity ``corner_value`` certifies; both are exposed for audit.  Each
-of their explicit sums adds integer numerators over one common
-denominator, the lcm of its term denominators or, at the s = 0 corner,
-(k+t)!, and is compared with the closed form by cross-multiplying, so no
-``Fraction`` is made for a sum that is only compared.
+of their explicit sums adds every term as an integer numerator over a
+common denominator known in closed form (b + 1, a product of b + 1
+consecutive integers, (k+t)! or (l+1)(l+2)), and is compared with the
+closed form by cross-multiplying, so no ``Fraction`` is made for a sum
+that is only compared.
 """
 
 from __future__ import annotations
@@ -249,6 +250,11 @@ def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
     The bracket corrections at b = 0 are required for the sums to match
     their raw-expectation origins; without them both closed forms are
     off by exactly one at b = 0.
+
+    Every term is summed, one binomial each, with alternating signs.  The
+    first sum's terms are over b + 1, by C(b, k')/(k'+1) =
+    C(b+1, k'+1)/(b+1); with j = k-1-k' the second sum's are over m - j
+    for j = 0..b, whose product is their common denominator.
     """
     if not 0 <= b <= k - 1:
         raise ScenarioError(f"need 0 <= b <= k-1, got b={b}, k={k}")
@@ -256,17 +262,21 @@ def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
         raise ScenarioError(f"committed player count must be >= 0, got {t}")
     m = k + t + 1
 
-    num1, den1 = _common_denominator_sum(
-        [((m - (kk + 1)) * (-1) ** kk * comb(b, kk), kk + 1) for kk in range(b + 1)]
-    )
+    num1, sign = 0, 1
+    for kk in range(b + 1):
+        num1 += sign * (m - kk - 1) * comb(b + 1, kk + 1)
+        sign = -sign
+    den1 = b + 1
     cnum1, cden1 = (m - 1, 1) if b == 0 else (m, 1 + b)
 
-    num2, den2 = _common_denominator_sum(
-        [
-            ((k - kk - 1) * (-1) ** (b - (k - 1) + kk) * comb(b, (k - 1) - kk), kk + t + 2)
-            for kk in range(k - 1 - b, k)
-        ]
-    )
+    # term j is (-1)^(b-j) j C(b, j) / (m - j)
+    den2 = 1
+    for j in range(b + 1):
+        den2 *= m - j
+    num2, sign = 0, 1 if b % 2 else -1  # (-1)^(b-j) at j = 1
+    for j in range(1, b + 1):
+        num2 += sign * j * comb(b, j) * (den2 // (m - j))
+        sign = -sign
     cnum2, cden2 = (1, comb(k + t, b)) if b >= 1 else (0, 1)
 
     # both denominators are positive, so cross-multiplying compares
@@ -287,6 +297,10 @@ def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
     Both are strictly negative for every l <= k-2, which pins the sum
     below zero over the whole cube.  Raises if the sum and the closed
     form ever disagree; returns the (negative) exact value.
+
+    Every term is summed, one binomial each.  At s = 0 the terms are over
+    (k+t)!, as (k+t)!/C(k+t, b) = b!(k+t-b)!; at s = 1 over (l+1)(l+2),
+    as C(l, b-1)/(b+1) = b C(l+2, b+1)/((l+1)(l+2)).
     """
     if s_corner not in (0, 1):
         raise ScenarioError(f"corner must be 0 or 1, got {s_corner}")
@@ -296,15 +310,22 @@ def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
         raise ScenarioError(f"committed player count must be >= 0, got {t}")
     m = k + t + 1
     if s_corner == 0:
-        # (k+t)!/C(k+t, b) = b!(k+t-b)!, so (k+t)! is a common denominator.
+        # b! and (k+t-b)! are carried along the loop
         n = k + t
-        num = -sum(factorial(b) * factorial(n - b) * comb(l, b - 1) for b in range(1, l + 2))
+        fb, fnb = 1, factorial(n - 1)
+        num = 0
+        for b in range(1, l + 2):
+            num -= fb * fnb * comb(l, b - 1)
+            fb *= b + 1
+            fnb //= n - b
         den = factorial(n)
         cnum, cden = -m, (k + t - l) * (k + t + 1 - l)
     else:
-        num, den = _common_denominator_sum(
-            [((-1) ** b * m * comb(l, b - 1), 1 + b) for b in range(1, l + 2)]
-        )
+        num, sign = 0, -m
+        for b in range(1, l + 2):
+            num += sign * b * comb(l + 2, b + 1)
+            sign = -sign
+        den = (l + 1) * (l + 2)
         cnum, cden = -m, (1 + l) * (2 + l)
     if num * cden != cnum * den:
         raise ScenarioError(

@@ -22,7 +22,9 @@ from __future__ import annotations
 from math import comb
 from pathlib import Path
 
-from .core import GameError, GameRule, TableRule, all_tie, enumerate_multisets, eval_outcome, win
+from .core import (
+    GameError, GameRule, TableRule, _shown, all_tie, enumerate_multisets, eval_outcome, win,
+)
 
 
 class GameFileError(GameError):
@@ -35,7 +37,10 @@ class GameFileError(GameError):
 
 
 def dump_game(rule: GameRule) -> str:
-    """Serialize the full-size multiset table of a rule."""
+    """Serialize the full-size multiset table of a rule.
+
+    Each multiset is scored by ``eval_outcome``; counts are written from a
+    table of digit strings and winners from a table of names."""
     for label in rule.labels:
         if label == "TIE" or "," in label or label.split() != [label]:
             raise GameFileError(f"object label {label!r} cannot be written: labels must be "
@@ -48,10 +53,12 @@ def dump_game(rule: GameRule) -> str:
     if tag:
         lines.append(f"# construction: {tag}")
     lines.append(f"rps m={rule.m} objects={','.join(rule.labels)}")
+    digits = [str(c) for c in range(rule.m + 1)]
+    names = dict(enumerate(rule.labels))
+    names[None] = "TIE"
     for counts, _ in enumerate_multisets(rule.n, rule.m):
-        winner = eval_outcome(rule, counts).winner
-        name = "TIE" if winner is None else rule.labels[winner]
-        lines.append(f"counts={','.join(map(str, counts))} winner={name}")
+        lines.append(f"counts={','.join([digits[c] for c in counts])} "
+                     f"winner={names[eval_outcome(rule, counts).winner]}")
     return "\n".join(lines) + "\n"
 
 
@@ -60,6 +67,13 @@ def save_game(rule: GameRule, path: str | Path) -> None:
 
 
 def parse_game(text: str) -> GameRule:
+    """The table-backed rule a game file describes.
+
+    A multiset line of exactly two fields, ``counts=...`` then
+    ``winner=...``, is split directly; any other takes the general path,
+    a field dict in which a repeated field's last value wins.  Both give
+    the same two values, and every check after them is shared.  Errors
+    name their line."""
     m = None
     labels: tuple[str, ...] | None = None
     construction = None
@@ -98,13 +112,18 @@ def parse_game(text: str) -> GameRule:
             raise GameFileError("multiset line before header", lineno)
         if not line.startswith("counts="):
             raise GameFileError(f"unrecognized line {line!r}", lineno)
-        fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
-        if "counts" not in fields or "winner" not in fields:
-            raise GameFileError("need counts=<c0,c1,...> winner=<label|TIE>", lineno)
+        parts = line.split()
+        if len(parts) == 2 and parts[1].startswith("winner="):
+            counts_text, winner_name = parts[0][7:], parts[1][7:]
+        else:
+            fields = dict(part.split("=", 1) for part in parts if "=" in part)
+            if "counts" not in fields or "winner" not in fields:
+                raise GameFileError("need counts=<c0,c1,...> winner=<label|TIE>", lineno)
+            counts_text, winner_name = fields["counts"], fields["winner"]
         try:
-            counts = tuple(map(int, fields["counts"].split(",")))
+            counts = tuple(map(int, counts_text.split(",")))
         except ValueError:
-            raise GameFileError(f"bad counts {fields['counts']!r}", lineno) from None
+            raise GameFileError(f"bad counts {counts_text!r}", lineno) from None
         if len(counts) != len(labels):
             raise GameFileError(
                 f"{len(counts)} counts for {len(labels)} objects", lineno
@@ -112,10 +131,9 @@ def parse_game(text: str) -> GameRule:
         if min(counts) < 0:
             raise GameFileError(f"negative count in {counts}", lineno)
         if (total := sum(counts)) != m:
-            raise GameFileError(f"counts sum to {total}, expected {m}", lineno)
+            raise GameFileError(f"counts sum to {_shown(total)}, expected {m}", lineno)
         if counts in table:
             raise GameFileError(f"duplicate line for multiset {counts}", lineno)
-        winner_name = fields["winner"]
         if winner_name == "TIE":
             table[counts] = all_tie(m)
         else:

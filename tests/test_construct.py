@@ -12,7 +12,7 @@ from rps_forge.construct import (
     relabel,
     symmetric_blowup,
 )
-from rps_forge.core import GameError, enumerate_multisets, eval_outcome, uniform_expected_payoffs
+from rps_forge.core import GameError, Outcome, enumerate_multisets, eval_outcome, uniform_expected_payoffs
 from rps_forge.gamefile import dump_game, parse_game
 from rps_forge.imbalance import MajorizationRelation, majorizes
 
@@ -146,6 +146,41 @@ class TestSymmetricBlowup:
             elif not out.is_tie:
                 assert combined.labels[out.winner] in h.labels
 
+    def test_parsed_outer_table_rejects_other_sizes(self):
+        # the table covers only multisets of 3, and the blow-up maps a
+        # multiset of 2 to one of 2 in the outer game
+        g = parse_game(dump_game(imbalanced_rps3(3, labels=("R1", "P1", "_S"))))
+        combined = symmetric_blowup(g, "_S", imbalanced_rps3(3, labels=("R2", "P2", "S")))
+        for counts in ((1, 0, 1, 0, 0), (0, 0, 1, 1, 0)):
+            with pytest.raises(GameError) as err:
+                eval_outcome(combined, counts)
+            assert str(err.value) == "rule has no table entries for multisets of size 2"
+        assert eval_outcome(combined, (1, 0, 2, 0, 0)) == Outcome(0, 1)
+        assert eval_outcome(combined, (0, 0, 1, 1, 1)) == Outcome(2, 1)
+        assert eval_outcome(combined, (0, 1, 0, 0, 2)) == Outcome(4, 2)
+
+    @pytest.mark.parametrize(
+        "g, at, h, counts, message",
+        [
+            (
+                odd_one_out(4), "b", imbalanced_rps3(4, labels=("x", "y", "z")), (1, 1, 0, 0),
+                "all-way tie across 'b' and other objects",
+            ),
+            (
+                odd_one_out(4), "b", imbalanced_rps3(4, labels=("x", "y", "z")), (2, 1, 1, 0),
+                "all-way tie across 'b' and other objects",
+            ),
+            (
+                imbalanced_rps3(3), "S", odd_one_out(3), (0, 1, 1, 1),
+                "subgame declared an all-way tie over several objects while outer players lost",
+            ),
+        ],
+    )
+    def test_unsupported_winner_sets_keep_their_messages(self, g, at, h, counts, message):
+        with pytest.raises(BlowupUnsupportedError) as err:
+            eval_outcome(symmetric_blowup(g, at, h), counts)
+        assert str(err.value) == message
+
     def test_mixed_winner_set_rejected(self):
         # subgame declares an all-way tie over two objects while an outer
         # player loses: no unique winning object exists
@@ -173,7 +208,7 @@ class TestIteratedFamily:
                 for counts, _ in enumerate_multisets(3, size):
                     assert eval_outcome(flat, counts) == eval_outcome(deep, counts)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_direct_rule_matches_composition(self, m, k):
         direct = imbalanced_rps(m, k)

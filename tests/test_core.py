@@ -53,6 +53,43 @@ class TestTiePayoff:
             tie_payoff(3, winners)
 
 
+# 10**5000 has more digits than Python converts to a string by default, so
+# a message naming it shows its bit length.
+HUGE = 10**5000
+
+
+class TestUnprintableIntegers:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: eval_outcome(imbalanced_rps3(3), (-HUGE, 1, 1)),
+                "negative count in (-<16610-bit integer>, 1, 1)",
+                id="eval_outcome, negative",
+            ),
+            pytest.param(
+                lambda: eval_outcome(imbalanced_rps3(3), (HUGE, 1, 1)),
+                "<16610-bit integer> choices exceed the 3-player game",
+                id="eval_outcome, oversized",
+            ),
+            pytest.param(
+                lambda: payoff_vector(imbalanced_rps3(3), [HUGE, 0, 0]),
+                "object index <16610-bit integer> out of range for 3 objects",
+                id="payoff_vector",
+            ),
+            pytest.param(
+                lambda: tie_payoff(3, HUGE),
+                "winner count <16610-bit integer> out of range 1..3",
+                id="tie_payoff",
+            ),
+        ],
+    )
+    def test_rejected_with_a_game_error(self, call, message):
+        with pytest.raises(GameError) as err:
+            call()
+        assert str(err.value) == message
+
+
 class TestEvalOutcome:
     def test_imbalanced_r_beats_s(self):
         out = eval_outcome(imbalanced_rps3(3), (2, 0, 1))
@@ -258,12 +295,22 @@ class TestEnumerateMultisets:
             assert got == list(reference_enumerate_multisets(n, size))
             assert all(type(c) is tuple for c, _ in got)
 
+    @pytest.mark.parametrize("n", range(8, 11))
+    def test_matches_reference_order_and_weights_on_many_objects(self, n):
+        for size in range(7):
+            got = list(enumerate_multisets(n, size))
+            assert got == list(reference_enumerate_multisets(n, size))
+            assert all(type(c) is tuple for c, _ in got)
+
     def test_streams_without_building_the_list(self):
         # a list of all C(10**6 + 2, 2) vectors could never be built
         gen = enumerate_multisets(3, 10**6)
         assert next(gen) == ((0, 0, 10**6), 1)
         assert next(gen) == ((0, 1, 10**6 - 1), 10**6)
         assert next(enumerate_multisets(7, 10**6)) == ((0,) * 6 + (10**6,), 1)
+        gen = enumerate_multisets(12, 10**6)
+        assert next(gen) == ((0,) * 11 + (10**6,), 1)
+        assert next(gen) == ((0,) * 10 + (1, 10**6 - 1), 10**6)
 
     @pytest.mark.parametrize("n, size", [(0, 3), (-1, 0), (3, -1), (1, -5)])
     def test_bad_arguments_raise(self, n, size):

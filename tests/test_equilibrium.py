@@ -115,6 +115,12 @@ class TestMixedProfile:
         with pytest.raises(GameError, match="non-finite"):
             MixedProfile(((math.nan, 0.5, 0.5),) * 3, symmetric=True)
 
+    def test_unprintable_negative_entry_rejected(self):
+        # 10**5000 has more digits than Python converts to a string by default
+        with pytest.raises(GameError) as err:
+            MixedProfile(((-(10**5000), 0),))
+        assert str(err.value) == "negative probability in (-<16610-bit integer>, 0)"
+
     def test_fraction_vectors_unaffected(self):
         v = (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
         p = MixedProfile(vectors=(v, v, (Fraction(0), Fraction(1), Fraction(0))))

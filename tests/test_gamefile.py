@@ -5,7 +5,7 @@ import pytest
 
 from rps_forge.cli import main
 from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3, relabel
-from rps_forge.core import enumerate_multisets, eval_outcome, uniform_expected_payoffs
+from rps_forge.core import Outcome, enumerate_multisets, eval_outcome, uniform_expected_payoffs
 from rps_forge.gamefile import GameFileError, dump_game, load_game, parse_game, save_game
 
 
@@ -193,3 +193,72 @@ class TestParsing:
         )
         assert main(["imbalance", str(path)]) == 2
         assert "duplicate line for multiset (1, 1, 0) (line 3)" in capsys.readouterr().err
+
+
+HEADER = "rps m=2 objects=a,b\n"
+TIE, A_WINS, B_WINS = Outcome(None, 2), Outcome(0, 1), Outcome(1, 1)
+
+
+class TestMultisetLineForms:
+    """A line of exactly ``counts=...`` then ``winner=...`` takes a fast
+    path; every other line the general one.  Each outcome below was
+    recorded from the single general path that parsed every line before:
+    the rule's outcome on (0, 2), (1, 1) and (2, 0), or the error's
+    message and line."""
+
+    @pytest.mark.parametrize(
+        "line, outcomes",
+        [
+            pytest.param("counts=1,1 winner=a", (TIE, A_WINS, TIE), id="fast path"),
+            pytest.param("counts=1,1 winner=a note=x", (TIE, A_WINS, TIE), id="extra field"),
+            pytest.param("counts=1,1 note=x winner=a", (TIE, A_WINS, TIE), id="field between"),
+            pytest.param("counts=2,0 counts=1,1 winner=a", (TIE, A_WINS, TIE), id="repeated counts"),
+            pytest.param("counts=1,1 winner=a winner=b", (TIE, B_WINS, TIE), id="repeated winner"),
+            pytest.param("counts=1,1\twinner=b", (TIE, B_WINS, TIE), id="tab"),
+        ],
+    )
+    def test_parsed_lines(self, line, outcomes):
+        rule = parse_game(HEADER + line + "\n")
+        assert tuple(eval_outcome(rule, c) for c in ((0, 2), (1, 1), (2, 0))) == outcomes
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("winner=a counts=1,1", "unrecognized line 'winner=a counts=1,1'", id="reordered"),
+            pytest.param("counts=1,2=3 winner=a", "bad counts '1,2=3'", id="'=' in counts"),
+            pytest.param("counts=1,1 winner=", "unknown winner ''", id="empty winner"),
+            pytest.param("counts=1,1 winner=a=b", "unknown winner 'a=b'", id="'=' in winner"),
+            pytest.param("counts=1,1", "need counts=<c0,c1,...> winner=<label|TIE>", id="bare counts"),
+            pytest.param(
+                "counts=1,1 counts=2,0", "need counts=<c0,c1,...> winner=<label|TIE>", id="two counts"
+            ),
+            pytest.param(
+                "counts=1,1 winnerx=a", "need counts=<c0,c1,...> winner=<label|TIE>", id="winnerx"
+            ),
+        ],
+    )
+    def test_rejected_lines(self, line, message):
+        with pytest.raises(GameFileError) as err:
+            parse_game(HEADER + line + "\n")
+        assert str(err.value) == f"{message} (line 2)"
+        assert err.value.line == 2
+
+
+# Two counts of 4,300 digits each parse, but their sum has 4,301, more
+# than Python converts to a string by default.
+NINES = "9" * 4300
+UNPRINTABLE_SUM = f"rps m=2 objects=a,b\ncounts={NINES},{NINES} winner=a\n"
+
+
+class TestUnprintableCounts:
+    def test_sum_is_named_with_its_line(self):
+        with pytest.raises(GameFileError) as err:
+            parse_game(UNPRINTABLE_SUM)
+        assert str(err.value) == "counts sum to <14286-bit integer>, expected 2 (line 2)"
+        assert err.value.line == 2
+
+    def test_cli_exits_with_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.rps"
+        path.write_text(UNPRINTABLE_SUM)
+        assert main(["nash", "--game", str(path), "--mode", "symmetric"]) == 2
+        assert "(line 2)" in capsys.readouterr().err
