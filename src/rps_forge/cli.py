@@ -281,6 +281,8 @@ def cmd_imbalance(args) -> tuple[dict, bool]:
         "alpha": args.alpha,
         "seed": args.seed,
     }
+    if len(args.games) > 2:
+        raise GameError(f"imbalance takes one game file, or two to compare; got {len(args.games)}")
     rules = [load_game(p) for p in args.games]
     if len(rules) == 1:
         payload = _imbalance_stats(

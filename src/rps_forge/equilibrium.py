@@ -25,6 +25,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GameError, GameRule, _shown, enumerate_multisets, eval_outcome, tie_payoff
+from .intervals import _face_halves
 
 Number = float | Fraction
 Vector = tuple[Number, ...]
@@ -81,22 +82,24 @@ class MixedProfile:
     """One probability vector over objects per player."""
 
     vectors: tuple[Vector, ...]
-    symmetric: bool = False
 
     def __post_init__(self):
         for v in {id(v): v for v in self.vectors}.values():  # each object once
             _check_distribution(v)
-        if self.symmetric and any(v != self.vectors[0] for v in self.vectors):
-            raise GameError("symmetric profile with differing vectors")
 
     @property
     def m(self) -> int:
         return len(self.vectors)
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether every player's vector equals the first, by value."""
+        return all(v == self.vectors[0] for v in self.vectors)
+
 
 def symmetric_profile(vector: Sequence[Number], m: int) -> MixedProfile:
     v = tuple(vector)
-    return MixedProfile(vectors=(v,) * m, symmetric=True)
+    return MixedProfile(vectors=(v,) * m)
 
 
 def uniform_profile(rule: GameRule) -> MixedProfile:
@@ -481,38 +484,6 @@ def _face_coefficients(
     }
 
 
-def _face_halves(
-    coeffs: dict[tuple[int, ...], tuple[int, ...]], i: int, j: int, degree: int
-) -> tuple[dict, dict]:
-    """Halve a cell's edge from vertex i to vertex j: the coefficients of
-    the half whose vertex j moves to the midpoint, then of the half whose
-    vertex i does, both times 2^degree.
-
-    The multi-indices that differ only in entries i and j form a fiber,
-    a univariate Bernstein form in the share of vertex j; one de Casteljau
-    step at 1/2 splits it.  The triangle adds pairs without halving them,
-    so its row t is 2^t times de Casteljau's, and the ends of row t are
-    shifted by degree - t onto the common 2^degree."""
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
-    second: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for a in coeffs:
-        if a[j]:
-            continue
-        top = a[i]
-        fiber = []
-        for t in range(top + 1):
-            b = list(a)
-            b[i], b[j] = top - t, t
-            fiber.append(tuple(b))
-        row = [coeffs[b] for b in fiber]
-        for t in range(top + 1):
-            if t:
-                row = [tuple(map(add, x, y)) for x, y in zip(row, row[1:])]
-            first[fiber[t]] = tuple(v << (degree - t) for v in row[0])
-            second[fiber[top - t]] = tuple(v << (degree - t) for v in row[-1])
-    return first, second
-
-
 def _unproved_cells(
     rule: GameRule, support: tuple[int, ...], rows: dict, scale: int
 ) -> list[tuple[int, list[tuple[int, ...]]]]:
@@ -765,8 +736,7 @@ def search_equilibria(
     for cand in exact:
         report = _gap_report(cand, rule.n, floats.__getitem__, memo)
         if report.is_eps_nash(config.eps):
-            # Each support has one vector object, so equal vectors are one object.
-            verified.append((MixedProfile(cand, symmetric=all(v is cand[0] for v in cand)), report))
+            verified.append((MixedProfile(cand), report))
     # Distinct uniform-support profiles differ by 1/20 or more in some
     # entry, so only the roots are checked against what is kept, through
     # the float views ``_gap_report`` left in the memo.

@@ -84,10 +84,7 @@ class Scenario:
     s: Fraction
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ScenarioError(f"need at least one mixer, got k={self.k}")
-        if self.t < 0:
-            raise ScenarioError(f"committed player count must be >= 0, got {self.t}")
+        _check_counts(self.k, self.t)
         for name in ("r", "s"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
@@ -96,6 +93,13 @@ class Scenario:
     @property
     def m(self) -> int:
         return self.k + self.t + 1
+
+
+def _check_counts(k: int, t: int):
+    if k < 1:
+        raise ScenarioError(f"need at least one mixer, got k={k}")
+    if t < 0:
+        raise ScenarioError(f"committed player count must be >= 0, got {t}")
 
 
 def _require_committed(role: Role, t: int):
@@ -124,10 +128,7 @@ def payoff_poly(role: Role, k: int, t: int) -> Poly2:
     the limit s*m - 1.  The candidate is the only player who ever plays
     S, so its own payoffs are the committed ones at s = 0.
     """
-    if k < 1:
-        raise ScenarioError(f"need at least one mixer, got k={k}")
-    if t < 0:
-        raise ScenarioError(f"committed player count must be >= 0, got {t}")
+    _check_counts(k, t)
     _require_committed(role, t)
     player, choice = role.value.split(":")
     m = k + t + 1
@@ -186,8 +187,7 @@ def ev_raw(
     """
     if len(r_vec) != k:
         raise ScenarioError(f"expected {k} mixer probabilities, got {len(r_vec)}")
-    if k < 1:
-        raise ScenarioError("need at least one mixer")
+    _check_counts(k, t)
     _require_committed(role, t)
     rs = [Fraction(x) for x in r_vec]
     s = Fraction(s)
@@ -258,8 +258,7 @@ def identity_check(k: int, t: int, b: int) -> tuple[bool, bool]:
     """
     if not 0 <= b <= k - 1:
         raise ScenarioError(f"need 0 <= b <= k-1, got b={b}, k={k}")
-    if t < 0:
-        raise ScenarioError(f"committed player count must be >= 0, got {t}")
+    _check_counts(k, t)
     m = k + t + 1
 
     num1, sign = 0, 1
@@ -306,8 +305,7 @@ def corner_value(k: int, t: int, l: int, s_corner: int) -> Fraction:
         raise ScenarioError(f"corner must be 0 or 1, got {s_corner}")
     if not 0 <= l <= k - 2:
         raise ScenarioError(f"need 0 <= l <= k-2, got l={l}, k={k}")
-    if t < 0:
-        raise ScenarioError(f"committed player count must be >= 0, got {t}")
+    _check_counts(k, t)
     m = k + t + 1
     if s_corner == 0:
         # b! and (k+t-b)! are carried along the loop

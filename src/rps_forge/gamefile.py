@@ -165,6 +165,6 @@ def parse_game(text: str) -> GameRule:
 def load_game(path: str | Path) -> GameRule:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
     return parse_game(text)

@@ -351,6 +351,35 @@ def _halves(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
+def _face_halves(
+    coeffs: dict[tuple[int, ...], tuple[int, ...]], i: int, j: int, degree: int
+) -> tuple[dict, dict]:
+    """Halve the edge from vertex i to vertex j of a simplex carrying a
+    Bernstein form, ``coeffs`` mapping multi-indices of sum ``degree`` to
+    tuples of integers: the half whose vertex j moves to the midpoint,
+    then the half whose vertex i does, both times 2^degree.  The
+    multi-indices that differ only in entries i and j form a fiber, a
+    univariate form of degree top = a[i] + a[j]; ``_halves`` splits each
+    component, shifted first by degree - top, as the split is linear."""
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    second: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in coeffs:
+        if a[j]:
+            continue
+        top = a[i]
+        b = list(a)
+        fiber = []
+        for t in range(top + 1):
+            b[i], b[j] = top - t, t
+            fiber.append(tuple(b))
+        shift = degree - top
+        columns = zip(*map(coeffs.__getitem__, fiber))  # one per component
+        lefts, rights = zip(*(_halves([x << shift for x in c]) for c in columns))
+        first.update(zip(fiber, zip(*lefts)))
+        second.update(zip(fiber, zip(*rights)))
+    return first, second
+
+
 def _taylor_shift(c: list[int], a: int) -> list[int]:
     """Coefficients of q(a + v) given those of q(x), by repeated synthetic
     division, in place.  Exact."""

@@ -254,6 +254,20 @@ class TestImbalance:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    def test_three_games_rejected_before_loading(self, capsys, tmp_path):
+        # none of the files exists: a load would exit EXIT_IO
+        paths = [str(tmp_path / f"g{i}.rps") for i in range(3)]
+        code, out, err = run_cli(capsys, "imbalance", *paths)
+        assert code == EXIT_USAGE and not out
+        assert err == "error: imbalance takes one game file, or two to compare; got 3\n"
+
+    def test_file_that_is_not_utf8_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.rps"
+        path.write_bytes(b"\xd0\xcf\x11\xe0")
+        code, out, err = run_cli(capsys, "imbalance", str(path))
+        assert code == EXIT_IO and not out
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
 
 class TestVerify:
     def test_identities_pass(self, capsys):

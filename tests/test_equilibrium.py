@@ -113,7 +113,7 @@ class TestMixedProfile:
         # Before the check this profile reached nash_gap, which reported
         # gap 0.0 because max(0.0, nan) is 0.0.
         with pytest.raises(GameError, match="non-finite"):
-            MixedProfile(((math.nan, 0.5, 0.5),) * 3, symmetric=True)
+            MixedProfile(((math.nan, 0.5, 0.5),) * 3)
 
     def test_unprintable_negative_entry_rejected(self):
         # 10**5000 has more digits than Python converts to a string by default
@@ -125,6 +125,28 @@ class TestMixedProfile:
         v = (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
         p = MixedProfile(vectors=(v, v, (Fraction(0), Fraction(1), Fraction(0))))
         assert p.vectors[0] == v and not p.symmetric
+
+    @pytest.mark.parametrize(
+        "vectors, want",
+        [
+            pytest.param(((1, 0),), True, id="one player"),
+            pytest.param(
+                (tuple([Fraction(1, 3)] * 3), tuple([Fraction(1, 3)] * 3)),
+                True,
+                id="distinct equal objects",
+            ),
+            pytest.param(((Fraction(1), Fraction(0)), (1, 0), (1, 0)), True, id="Fraction and int"),
+            pytest.param(((0.5, 0.5), (Fraction(1, 2), Fraction(1, 2))), True, id="float and Fraction"),
+            pytest.param(((1, 0), (1, 0), (0, 1)), False, id="last differs"),
+            pytest.param(((0, 1), (1, 0), (1, 0)), False, id="first differs"),
+        ],
+    )
+    def test_symmetric_is_read_from_the_vectors(self, vectors, want):
+        assert MixedProfile(vectors).symmetric is want
+
+    def test_symmetric_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            MixedProfile(((1, 0), (0, 1)), symmetric=True)
 
 
 BIG = 10**13 + 1
@@ -339,7 +361,7 @@ class TestNashGapReference:
 
     def test_equal_vectors_not_flagged_symmetric(self):
         rule = imbalanced_rps3(6)
-        profile = MixedProfile(vectors=((0.2, 0.5, 0.3),) * 6, symmetric=False)
+        profile = MixedProfile(vectors=((0.2, 0.5, 0.3),) * 6)
         assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
 
     def test_asymmetric_float_profile(self):
@@ -391,7 +413,7 @@ class TestNashGapReference:
         vectors = [vector[s] for s in supports]
         if len(set(supports)) > 2:
             vectors[-1] = tuple(p if p else 0 for p in vectors[-1])
-        profile = MixedProfile(vectors=tuple(vectors), symmetric=len(set(supports)) == 1)
+        profile = MixedProfile(vectors=tuple(vectors))
         assert nash_gap(rule, profile) == reference_nash_gap(rule, profile)
 
     def test_every_search_result_on_a_random_table(self):

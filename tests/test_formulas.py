@@ -157,6 +157,23 @@ class TestRawOracle:
         with pytest.raises(ScenarioError):
             ev_raw(Role.MIXER_R, 3, 0, [Fraction(1, 2)] * 2, Fraction(1, 2))
 
+    @pytest.mark.parametrize("role", list(Role))
+    def test_negative_committed_count_rejected_as_in_scenario(self, role):
+        # ev_raw once returned -1/2 for MIXER_R at t = -1 and divided by
+        # zero for CANDIDATE_P
+        with pytest.raises(ScenarioError) as want:
+            Scenario(k=2, t=-1, r=Fraction(1, 2), s=Fraction(1, 3))
+        with pytest.raises(ScenarioError) as got:
+            ev_raw(role, 2, -1, [Fraction(1, 2)] * 2, Fraction(1, 3))
+        assert str(got.value) == str(want.value)
+
+    def test_no_mixer_rejected_as_in_scenario(self):
+        with pytest.raises(ScenarioError) as want:
+            Scenario(k=0, t=1, r=Fraction(0), s=Fraction(0))
+        with pytest.raises(ScenarioError) as got:
+            ev_raw(Role.CANDIDATE_S, 0, 1, [], Fraction(0))
+        assert str(got.value) == str(want.value) == "need at least one mixer, got k=0"
+
     def test_large_k_matches_closed_forms(self):
         r, s = Fraction(3, 7), Fraction(2, 5)
         for k in (21, 40):

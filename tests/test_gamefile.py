@@ -163,6 +163,13 @@ class TestParsing:
         with pytest.raises(GameFileError):
             load_game(tmp_path / "absent.rps")
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.rps"
+        path.write_bytes(b"rps m=2 objects=a,b\n\xd0\xcf\x11\xe0\n")
+        with pytest.raises(GameFileError) as err:
+            load_game(path)
+        assert str(err.value).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
     def test_duplicate_header_rejected(self):
         text = "rps m=2 objects=a,b\nrps m=2 objects=a,b\n"
         with pytest.raises(GameFileError) as err:

@@ -8,13 +8,18 @@ bound, on every box a certificate examines and on arbitrary rational
 boxes, whether its coefficients come from the monomial form or from the
 de Casteljau split of a remembered parent; a fresh ``Poly2``, which
 remembers nothing, must agree with one that has walked a bisection.
+``_face_halves``, the same split on a simplex, must match
+``reference_face_halves``, a triangle of its own over each fiber.
 ``reference_eval_box`` bounds the shifted monomials instead; the
 Bernstein interval must always lie inside it, so no box the monomial
 bounds prune can survive.
 """
 
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -309,3 +314,62 @@ def test_integer_normalization(poly, want, factor):
     got, scale = poly.integer_normalization()
     assert (got.p0, got.p1) == want and scale == factor
     assert all(type(c) is int for c in (*got.p0, *got.p1))
+
+
+def reference_face_halves(coeffs, i, j, degree):
+    """The edge halving of a Bernstein form on a simplex, with a de
+    Casteljau triangle of its own over each fiber: row t of pairwise sums
+    is 2^t times de Casteljau's, and the ends of row t are shifted by
+    degree - t onto the common 2^degree."""
+    first, second = {}, {}
+    for a in coeffs:
+        if a[j]:
+            continue
+        top = a[i]
+        fiber = []
+        for t in range(top + 1):
+            b = list(a)
+            b[i], b[j] = top - t, t
+            fiber.append(tuple(b))
+        row = [coeffs[b] for b in fiber]
+        for t in range(top + 1):
+            if t:
+                row = [tuple(map(add, x, y)) for x, y in zip(row, row[1:])]
+            first[fiber[t]] = tuple(v << (degree - t) for v in row[0])
+            second[fiber[top - t]] = tuple(v << (degree - t) for v in row[-1])
+    return first, second
+
+
+def _multi_indices(size, degree):
+    if size == 1:
+        return [(degree,)]
+    return [(h,) + rest for h in range(degree + 1) for rest in _multi_indices(size - 1, degree - h)]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_face_halves_match_the_fiber_triangle(size):
+    rng = random.Random(size)
+    for degree in range(1, 9):
+        components = rng.randint(1, 4)
+        coeffs = {
+            a: tuple(rng.randint(-(10**6), 10**6) for _ in range(components))
+            for a in _multi_indices(size, degree)
+        }
+        for i, j in permutations(range(size), 2):
+            want = reference_face_halves(coeffs, i, j, degree)
+            assert interval_module._face_halves(coeffs, i, j, degree) == want, (degree, i, j)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_face_halves_on_one_edge_are_the_interval_halves(degree):
+    # every fiber of a two-vertex face is the whole form, so top = degree
+    # and the shift degree - top is 0
+    rng = random.Random(degree)
+    coeffs = {(degree - t, t): (rng.randint(-99, 99), rng.randint(-99, 99)) for t in range(degree + 1)}
+    for i, j in ((0, 1), (1, 0)):
+        fiber = [(degree - t, t)[:: 1 if i == 0 else -1] for t in range(degree + 1)]
+        halves = [interval_module._halves([coeffs[a][c] for a in fiber]) for c in range(2)]
+        first, second = interval_module._face_halves(coeffs, i, j, degree)
+        for t, a in enumerate(fiber):
+            assert first[a] == tuple(left[t] for left, _ in halves)
+            assert second[a] == tuple(right[t] for _, right in halves)
