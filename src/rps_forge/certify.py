@@ -296,13 +296,13 @@ def _read_stream(path: str, delta: str) -> dict[tuple[int, int], dict]:
     verdicts = {v.value for v in Verdict}
     done: dict[tuple[int, int], dict] = {}
     try:
-        fh = open(path)
+        fh = open(path, "rb")  # bytes, so a line that is not UTF-8 is malformed
     except FileNotFoundError:
         return done
     with fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 key = (rec["k"], rec["t"])
                 ok = all(type(x) is int for x in key) and rec["verdict"] in verdicts
                 found = rec["delta"]

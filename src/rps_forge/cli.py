@@ -33,6 +33,7 @@ from .equilibrium import (
     MixedProfile,
     SearchConfig,
     SolverError,
+    _desk_scale_refusal,
     nash_gap,
     search_equilibria,
     solve_symmetric_rps3,
@@ -79,9 +80,7 @@ def build_family(family: str, m: int, k: int) -> GameRule:
         return imbalanced_rps(m, k)
     if family == "blowup":
         return iterated_blowup(m, k)
-    if family == "odd-one-out":
-        return odd_one_out(m)
-    raise GameError(f"unknown family {family!r}")
+    return odd_one_out(m)  # argparse's choices admit no other family
 
 
 def _envelope(command: str, config: dict, payload: dict) -> dict:
@@ -149,12 +148,24 @@ def _emit(envelope: dict, fmt: str | None, out: str | None) -> int:
     return EXIT_OK
 
 
-def _load_rule(args) -> GameRule:
-    if getattr(args, "game", None):
-        return load_game(args.game)
-    if getattr(args, "family", None):
-        return build_family(args.family, args.m, args.k)
-    raise GameError("need --game PATH or --family NAME with --m")
+def _solver_point(rule: GameRule, tol: float = 1e-12):
+    """The symmetric solver's solution for ``rule``'s m, its deviation gap on
+    ``rule``'s own table, its profile if that gap is within
+    ``SearchConfig.eps`` (else None), and a basis note saying which."""
+    eq = solve_symmetric_rps3(rule.m, tol=tol)
+    profile = symmetric_profile(eq.as_vector(), rule.m)
+    report = nash_gap(rule, profile)
+    if report.is_eps_nash(SearchConfig.eps):
+        return eq, report.gap, profile, "symmetric solver"
+    return eq, report.gap, None, f"symmetric solver's point rejected at gap {report.gap:.3e}"
+
+
+def _check_rectangle(args, kmin: int = 1) -> None:
+    """Reject a ``--kmax`` below ``kmin`` or a negative ``--tmax``."""
+    if args.kmax < kmin:
+        raise GameError(f"--kmax must be >= {kmin}, got {args.kmax}")
+    if args.tmax < 0:
+        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
 
 
 def cmd_build(args) -> tuple[dict, bool]:
@@ -184,19 +195,18 @@ def cmd_nash(args) -> tuple[dict, bool]:
         "seed": args.seed,
         "tol": args.tol,
     }
+    if args.mode == "search" and args.seed is None:
+        raise GameError("search mode is stochastic: --seed is required")
+    rule = (load_game(args.game) if args.game is not None  # main requires one of the two
+            else build_family(args.family, args.m, args.k))
     if args.mode == "symmetric":
-        family = args.family
-        rule = _load_rule(args)
-        tag = rule.construction or ""
-        if family != "imbalanced3" and not tag.startswith("imbalanced3"):
+        if not (rule.construction or "").startswith("imbalanced3"):
             raise GameError(
                 "symmetric mode solves the imbalanced three-object family; "
                 "use --family imbalanced3 or a game built from it"
             )
         config["tol"] = 1e-12 if args.tol is None else args.tol  # the solver's default
-        eq = solve_symmetric_rps3(rule.m, tol=config["tol"])
-        profile = symmetric_profile(eq.as_vector(), rule.m)
-        gap = nash_gap(rule, profile).gap
+        eq, gap, profile, _ = _solver_point(rule, config["tol"])
         payload = {
             "m": rule.m,
             "r": _p6(eq.r),
@@ -208,11 +218,8 @@ def cmd_nash(args) -> tuple[dict, bool]:
                 {"m": rule.m, "r": _p6(eq.r), "p": _p6(eq.p), "s": _p6(eq.s)}
             ],
         }
-        return _envelope("nash", config, payload), True
+        return _envelope("nash", config, payload), profile is not None
 
-    if args.seed is None:
-        raise GameError("search mode is stochastic: --seed is required")
-    rule = _load_rule(args)
     eps = {} if args.tol is None else {"eps": args.tol}
     search = SearchConfig(seed=args.seed, **eps)
     config["tol"] = search.eps
@@ -250,28 +257,25 @@ def _imbalance_stats(rule: GameRule, payoffs, alphas, seed) -> dict:
         stats[f"theil_{a:g}"] = theil_alpha(payoffs, a)
     equilibria: list[MixedProfile] = []
     note = []
-    tag = rule.construction or ""
-    if tag.startswith("imbalanced3"):
-        eq = solve_symmetric_rps3(rule.m)
-        equilibria.append(symmetric_profile(eq.as_vector(), rule.m))
-        note.append("symmetric solver")
-    if seed is None:
-        skipped = "pass --seed for search"
-    elif rule.m <= 4 and rule.n <= 5:
+    rejected = []
+    if (rule.construction or "").startswith("imbalanced3"):
+        _, _, profile, basis = _solver_point(rule)
+        equilibria.extend(filter(None, [profile]))
+        (note if profile else rejected).append(basis)
+    skipped = "pass --seed for search" if seed is None else _desk_scale_refusal(rule)
+    if skipped is None:
         found = search_equilibria(rule, SearchConfig(seed=seed))
         equilibria.extend(p for p, _ in found)
         note.append(f"seeded search ({len(found)} found)")
         skipped = "seeded search found none"
-    else:
-        skipped = "search is desk-scale only: m <= 4, n <= 5"
     if equilibria:
         stats["nash_entropy"] = nash_entropy_imbalance(equilibria)
         sym_vectors = [p.vectors[0] for p in equilibria if p.symmetric]
         if sym_vectors:
             stats["nash_ties"] = float(nash_ties_imbalance(sym_vectors, rule.m))
-        stats["equilibrium_basis"] = "list-relative: " + ", ".join(note)
+        stats["equilibrium_basis"] = "list-relative: " + ", ".join(rejected + note)
     else:
-        stats["equilibrium_basis"] = f"not computed ({skipped})"
+        stats["equilibrium_basis"] = f"not computed ({', '.join(rejected + [skipped])})"
     return stats
 
 
@@ -310,10 +314,7 @@ def cmd_imbalance(args) -> tuple[dict, bool]:
 
 
 def _verify_identities(args) -> tuple[dict, bool]:
-    if args.kmax < 1:
-        raise GameError(f"--kmax must be >= 1, got {args.kmax}")
-    if args.tmax < 0:
-        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
+    _check_rectangle(args)
     failures = []
     checked = 0
     for k in range(1, args.kmax + 1):
@@ -328,10 +329,7 @@ def _verify_identities(args) -> tuple[dict, bool]:
 
 
 def _verify_corners(args) -> tuple[dict, bool]:
-    if args.kmax < 2:
-        raise GameError(f"--kmax must be >= 2, got {args.kmax}")
-    if args.tmax < 0:
-        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
+    _check_rectangle(args, kmin=2)
     failures = []
     checked = 0
     for k in range(2, args.kmax + 1):
@@ -360,10 +358,7 @@ def _verify_formulas(args) -> tuple[dict, bool]:
         raise GameError("formula verification is randomized: --seed is required")
     if args.count < 1:
         raise GameError(f"--count must be >= 1, got {args.count}")
-    if args.kmax < 1:
-        raise GameError(f"--kmax must be >= 1, got {args.kmax}")
-    if args.tmax < 0:
-        raise GameError(f"--tmax must be >= 0, got {args.tmax}")
+    _check_rectangle(args)
     rng = random.Random(args.seed)
     failures = []
     checked = 0
@@ -398,6 +393,7 @@ def _verify_infeasibility(args) -> tuple[dict, bool]:
 
 
 def _verify_sweep(args) -> tuple[dict, bool]:
+    _check_rectangle(args)
     report = sweep(
         args.kmax,
         args.tmax,
@@ -422,20 +418,21 @@ def _verify_conjecture2(args) -> tuple[dict, bool]:
     rule = imbalanced_rps(args.m, args.k)
     profiles: list[MixedProfile] = []
     basis = []
+    ok = True
     if args.k == 1:
-        eq = solve_symmetric_rps3(args.m)
-        profiles.append(symmetric_profile(eq.as_vector(), args.m))
-        basis.append("symmetric solver")
-    elif args.m <= 4:
-        if args.seed is None:
-            raise GameError("search for k > 1 is stochastic: --seed is required")
+        _, _, profile, note = _solver_point(rule)
+        ok = profile is not None
+        profiles.extend(filter(None, [profile]))
+        basis.append(note)
+    elif refusal := _desk_scale_refusal(rule):
+        raise GameError(refusal)
+    elif args.seed is None:
+        raise GameError("search for k > 1 is stochastic: --seed is required")
+    else:
         found = search_equilibria(rule, SearchConfig(seed=args.seed))
         profiles.extend(p for p, _ in found)
         basis.append(f"seeded search ({len(found)} equilibria)")
-    else:
-        raise GameError("k > 1 with m > 4 is beyond desk scale; no profile source")
     records = []
-    ok = True
     for pi, profile in enumerate(profiles):
         for rep in ptype_to_s_ratio_check(rule, profile):
             row = asdict(rep)
@@ -470,7 +467,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
         "check", "kmax", "tmax", "k", "t", "m", "delta",
         "seed", "jobs", "count", "depth", "budget", "stream",
     )
-    config = {key: getattr(args, key) for key in echoed if hasattr(args, key)}
+    config = {key: getattr(args, key) for key in echoed}
     return _envelope("verify", config, payload), ok
 
 

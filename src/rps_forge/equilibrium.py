@@ -693,6 +693,11 @@ def _uniform_support_equilibria(rule: GameRule, rows: dict) -> list[tuple[tuple[
     return found
 
 
+def _desk_scale_refusal(rule: GameRule) -> str | None:
+    """Why ``search_equilibria`` refuses ``rule``, or None when it runs."""
+    return "search is desk-scale only: m <= 4, n <= 5" if rule.m > 4 or rule.n > 5 else None
+
+
 def search_equilibria(
     rule: GameRule, config: SearchConfig
 ) -> list[tuple[MixedProfile, NashGapReport]]:
@@ -714,8 +719,8 @@ def search_equilibria(
     is the one reported where a float root lies that close to it.
     The list may be empty (inconclusive); it is never claimed exhaustive.
     """
-    if rule.m > 4 or rule.n > 5:
-        raise GameError("search is desk-scale only (m <= 4, n <= 5)")
+    if refusal := _desk_scale_refusal(rule):
+        raise GameError(refusal)
     rng = random.Random(config.seed)
     rows, scale = _payoff_table(rule)
     roots = [

@@ -516,6 +516,8 @@ class TestSweep:
             ('{"k": 1, "t": 0}', "malformed"),
             ('{"k": 1, "t": 0, "verdict": "proved_empty"}', "malformed"),
             ('{"k": "1", "t": 0, "verdict": "proved_empty", "delta": "0.000001"}', "malformed"),
+            # a byte order mark is no part of a JSON line, as in text mode
+            ('\ufeff{"k": 1, "t": 0, "verdict": "proved_empty", "delta": "0.000001"}', "malformed"),
             ('{"k": 1, "t": 0, "verdict": "proved_empty", "delta": "0.001"}', "delta 0.001"),
         ],
     )
@@ -526,6 +528,16 @@ class TestSweep:
         with pytest.raises(ScenarioError, match=message) as info:
             sweep(1, 1, stream=str(path))
         assert f"{path}:2" in str(info.value)
+
+    def test_stream_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        good = sweep(1, 0).records[0]
+        content = (json.dumps(good) + "\n").encode() + b"\xd0\xcf\x11\xe0\n"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError) as info:
+            sweep(1, 1, stream=str(path))
+        assert str(info.value) == f"{path}:2: malformed sweep record"
+        assert path.read_bytes() == content
 
 
 class TestDecimalString:

@@ -8,6 +8,9 @@ import pytest
 
 import rps_forge
 from rps_forge.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from rps_forge.construct import imbalanced_rps
+from rps_forge.core import GameError
+from rps_forge.equilibrium import SearchConfig, search_equilibria
 from rps_forge.gamefile import load_game
 
 
@@ -25,6 +28,21 @@ def run_json(capsys, *argv):
     """``main`` with JSON output, parsed strictly: NaN and Infinity fail."""
     code, out, err = run_cli(capsys, "--format", "json", *argv)
     return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None), err
+
+
+def build_mistagged(capsys, path):
+    """maximal3's m = 3 table under imbalanced3's construction tag."""
+    run_json(capsys, "build", "--family", "maximal3", "--m", "3", "--out", str(path))
+    text = path.read_text()
+    assert "# construction: maximal3 m=3\n" in text
+    path.write_text(text.replace("maximal3 m=3", "imbalanced3 m=3"))
+
+
+def search_refusal(rule):
+    """The message of the ``GameError`` with which the search refuses ``rule``."""
+    with pytest.raises(GameError) as info:
+        search_equilibria(rule, SearchConfig(seed=1))
+    return str(info.value)
 
 
 class TestBuild:
@@ -125,6 +143,31 @@ class TestNash:
         code, env, _ = run_json(capsys, "nash", "--game", str(path), "--mode", "symmetric")
         assert code == EXIT_OK
         assert abs(float(env["payload"]["records"][0]["p"]) - 0.622) <= 1e-3
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 20])
+    def test_symmetric_point_verifies_on_genuine_games(self, capsys, m):
+        code, env, _ = run_json(capsys, "nash", "--family", "imbalanced3", "--m", str(m))
+        assert code == EXIT_OK
+        assert float(env["payload"]["nash_gap"]) <= 1e-9
+
+    def test_symmetric_point_off_the_table_fails_the_check(self, capsys, tmp_path):
+        # The tag names imbalanced3, the table is maximal3's: the solver's
+        # point is reported, but it is no equilibrium of this game.
+        path = tmp_path / "mistagged.rps"
+        build_mistagged(capsys, path)
+        code, env, _ = run_json(capsys, "nash", "--game", str(path), "--mode", "symmetric")
+        assert code == EXIT_CHECK_FAILED
+        assert env["payload"]["nash_gap"] == "1.132e+00"
+
+    def test_family_does_not_override_game(self, capsys, tmp_path):
+        path = tmp_path / "max.rps"
+        run_json(capsys, "build", "--family", "maximal3", "--m", "3", "--out", str(path))
+        code, out, err = run_cli(
+            capsys, "nash", "--game", str(path), "--family", "imbalanced3", "--m", "3",
+            "--mode", "symmetric",
+        )
+        assert code == EXIT_USAGE and not out
+        assert "imbalanced3" in err
 
     def test_solver_failure_exits_with_diagnostics(self, capsys):
         # an unreachable residual tolerance forces a solver failure
@@ -247,6 +290,36 @@ class TestImbalance:
             "not computed (search is desk-scale only: m <= 4, n <= 5)"
         )
 
+    def test_search_refusal_is_the_note(self, capsys, tmp_path):
+        path = tmp_path / "g.rps"
+        run_json(capsys, "build", "--family", "maximal3", "--m", "5", "--out", str(path))
+        code, env, _ = run_json(capsys, "imbalance", str(path), "--seed", "3")
+        assert code == EXIT_OK
+        refusal = search_refusal(load_game(path))
+        assert env["payload"]["equilibrium_basis"] == f"not computed ({refusal})"
+
+    def test_symmetric_point_off_the_table_left_out(self, capsys, tmp_path):
+        path = tmp_path / "mistagged.rps"
+        build_mistagged(capsys, path)
+        rejected = "symmetric solver's point rejected at gap 1.132e+00"
+        code, env, _ = run_json(capsys, "imbalance", str(path))
+        assert code == EXIT_OK
+        assert "nash_entropy" not in env["payload"] and "nash_ties" not in env["payload"]
+        assert env["payload"]["equilibrium_basis"] == (
+            f"not computed ({rejected}, pass --seed for search)"
+        )
+        # with a seed, the statistics are the genuine maximal3 game's
+        genuine = tmp_path / "max.rps"
+        run_json(capsys, "build", "--family", "maximal3", "--m", "3", "--out", str(genuine))
+        _, seeded, _ = run_json(capsys, "imbalance", str(path), "--seed", "3")
+        _, expected, _ = run_json(capsys, "imbalance", str(genuine), "--seed", "3")
+        basis = expected["payload"].pop("equilibrium_basis")
+        assert seeded["payload"].pop("equilibrium_basis") == basis.replace(
+            "list-relative: ", f"list-relative: {rejected}, "
+        )
+        assert seeded["payload"] == expected["payload"]
+        assert "nash_entropy" in expected["payload"]
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.rps"
         bad.write_text("rps m=2 objects=a,b\ncounts=1,1 winner=zzz\n")
@@ -350,6 +423,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "corners", "--tmax", "-1")
         assert code == EXIT_USAGE and "--tmax" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--kmax", "0", "--kmax must be >= 1, got 0"), ("--tmax", "-1", "--tmax must be >= 0, got -1")],
+    )
+    def test_sweep_rejects_rectangle_as_the_audits_do(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "verify", "sweep", flag, value)
+        assert code == EXIT_USAGE and not out
+        assert err == f"error: {message}\n"
+
     def test_infeasibility_single_pair(self, capsys):
         code, env, _ = run_json(capsys, "verify", "infeasibility", "--k", "2", "--t", "1")
         assert code == EXIT_OK
@@ -428,6 +510,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert f"{path}:1" in err and "delta" in err
 
+    def test_sweep_stream_not_utf8_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_bytes(b"\xd0\xcf\x11\xe0")
+        code, out, err = run_json(
+            capsys, "verify", "sweep", "--kmax", "1", "--tmax", "0", "--stream", str(path)
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == f"error: {path}:1: malformed sweep record\n"
+        assert path.read_bytes() == b"\xd0\xcf\x11\xe0"
+
     def test_sweep_stream_malformed_line_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"
         path.write_text('{"k": 1, "t": 0, "verdict": "proved_empty"\n')
@@ -442,6 +534,26 @@ class TestVerify:
         assert code == EXIT_OK
         row = env["payload"]["records"][0]
         assert row["ratio"] >= 19
+
+    def test_conjecture2_rejected_solver_point_fails(self, capsys, monkeypatch):
+        from rps_forge import cli
+
+        real = cli.solve_symmetric_rps3
+        # the solution for one player more is no equilibrium of the game asked about
+        monkeypatch.setattr(cli, "solve_symmetric_rps3", lambda m, tol: real(m + 1, tol))
+        code, env, _ = run_json(capsys, "verify", "conjecture2", "--m", "20", "--k", "1")
+        assert code == EXIT_CHECK_FAILED
+        assert env["payload"]["passed"] is False
+        assert env["payload"]["profiles_examined"] == 0
+        assert env["payload"]["basis"].startswith("symmetric solver's point rejected at gap ")
+
+    @pytest.mark.parametrize("m, k, seed", [(5, 2, ()), (5, 2, ("--seed", "1")), (3, 3, ("--seed", "1"))])
+    def test_conjecture2_passes_on_the_search_refusal(self, capsys, m, k, seed):
+        code, out, err = run_cli(
+            capsys, "verify", "conjecture2", "--m", str(m), "--k", str(k), *seed
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == f"error: {search_refusal(imbalanced_rps(m, k))}\n"
 
     def test_conjecture2_desk_scale_depth_two(self, capsys):
         code, env, _ = run_json(
@@ -475,6 +587,8 @@ class TestOutputContracts:
             ("imbalance", str(game), "--seed", "3"),
             ("imbalance", str(game), str(other), "--seed", "3"),
             ("verify", "conjecture2", "--m", "3", "--k", "2", "--seed", "1"),
+            ("nash", "--game", str(game), "--mode", "symmetric"),
+            ("verify", "conjecture2", "--m", "20", "--k", "1"),
         ):
             _, env1, _ = run_json(capsys, *argv)
             _, env2, _ = run_json(capsys, *argv)
