@@ -7,6 +7,11 @@ payoff gap against its bound, the P-to-S play ratios, and a desk-scale
 infeasibility sweep summary (pairs proved empty over r in [0, 1] and
 the r-intervals their proofs took).  Everything here is recomputed from
 scratch; nothing is read from fixtures.
+
+The symmetric points come from the command line's checked route, which
+keeps a point only if its deviation gap on the game's own table is within
+1e-9.  The exit code is 1 if any point is rejected, any P-to-S ratio is
+below its bound, or any swept pair is not proved empty; else 0.
 """
 
 import argparse
@@ -15,23 +20,19 @@ import time
 from fractions import Fraction
 
 from rps_forge.certify import ptype_to_s_ratio_check, sweep
+from rps_forge.cli import _solver_point
 from rps_forge.construct import imbalanced_rps, imbalanced_rps3, maximal_rps3
 from rps_forge.core import uniform_expected_payoffs
-from rps_forge.equilibrium import (
-    expected_winner_count,
-    nash_gap,
-    solve_symmetric_rps3,
-    symmetric_profile,
-)
+from rps_forge.equilibrium import expected_winner_count, solve_symmetric_rps3
 from rps_forge.imbalance import majorizes, ui_variance
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sweep-kmax", type=int, default=12)
     parser.add_argument("--sweep-tmax", type=int, default=12)
     parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.sweep_kmax < 1:
@@ -41,10 +42,14 @@ def main() -> int:
 
     print("symmetric equilibria of the imbalanced three-object game")
     print(f"{'m':>4} {'P(R)':>10} {'P(P)':>10} {'P(S)':>10} {'gap':>10}")
+    ok = True
     for m in (3, 5, 10, 15, 20):
-        eq = solve_symmetric_rps3(m)
-        gap = nash_gap(imbalanced_rps3(m), symmetric_profile(eq.as_vector(), m)).gap
-        print(f"{m:>4} {eq.r:>10.6f} {eq.p:>10.6f} {eq.s:>10.6f} {gap:>10.2e}")
+        eq, gap, profile, _ = _solver_point(imbalanced_rps3(m))
+        ok = ok and profile is not None
+        print(
+            f"{m:>4} {eq.r:>10.6f} {eq.p:>10.6f} {eq.s:>10.6f} {gap:>10.2e}"
+            + ("" if profile else "  [rejected]")
+        )
 
     print()
     rule20 = imbalanced_rps3(20)
@@ -73,11 +78,14 @@ def main() -> int:
     print()
     print("P-type to S play ratio at the symmetric equilibrium (bound m-1)")
     for m in (3, 10, 20):
-        eq = solve_symmetric_rps3(m)
-        reports = ptype_to_s_ratio_check(
-            imbalanced_rps(m, 1), symmetric_profile(eq.as_vector(), m)
-        )
-        rep = reports[0]
+        rule = imbalanced_rps(m, 1)
+        _, _, profile, basis = _solver_point(rule)
+        if profile is None:
+            ok = False
+            print(f"  m={m:>2}: {basis}")
+            continue
+        rep = ptype_to_s_ratio_check(rule, profile)[0]
+        ok = ok and rep.satisfied is not False
         print(
             f"  m={m:>2}: ratio {rep.ratio:>8.2f} >= {m - 1:>2}: {rep.satisfied}; "
             f"tie probe {rep.tie_probe:.2f}"
@@ -94,7 +102,7 @@ def main() -> int:
         f"{sum(verdicts)}/{len(verdicts)} proved empty for r in [0, 1], "
         f"{intervals} r-intervals, {elapsed:.1f} s"
     )
-    ok = all(verdicts) and not report.incomplete
+    ok = ok and all(verdicts) and not report.incomplete
     print("all checks passed" if ok else "SOME CHECKS DID NOT PASS")
     return 0 if ok else 1
 

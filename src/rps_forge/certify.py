@@ -190,6 +190,17 @@ def decimal_string(x: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
+def _admissible_delta(delta: Fraction | float, max_depth: int) -> Fraction:
+    """``delta`` as a Fraction, once it and ``max_depth`` are checked to be
+    admissible for a certificate."""
+    delta = Fraction(delta)
+    if not 0 < delta <= Fraction(1, 100):
+        raise ScenarioError(f"delta must lie in (0, 0.01], got {delta}")
+    if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
+        raise ScenarioError(f"max_depth must lie in 1..{MAX_DEPTH_LIMIT}")
+    return delta
+
+
 def infeasibility_certificate(
     k: int,
     t: int,
@@ -205,11 +216,7 @@ def infeasibility_certificate(
     validated and recorded.  A depth or box-budget exhaustion yields
     UNDECIDED, never a false PROVED_EMPTY.
     """
-    delta = Fraction(delta)
-    if not 0 < delta <= Fraction(1, 100):
-        raise ScenarioError(f"delta must lie in (0, 0.01], got {delta}")
-    if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
-        raise ScenarioError(f"max_depth must lie in 1..{MAX_DEPTH_LIMIT}")
+    delta = _admissible_delta(delta, max_depth)
     constraints = eliminated_system(k, t)
 
     start = time.perf_counter()
@@ -348,7 +355,7 @@ def sweep(
         raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     if not 0 <= budget_seconds < float("inf"):  # a NaN budget never runs out
         raise ScenarioError(f"budget_seconds must be nonnegative and finite, got {budget_seconds}")
-    delta = Fraction(delta)
+    delta = _admissible_delta(delta, max_depth)  # before the stream is read or opened
     pairs = [(k, t) for k in range(1, k_max + 1) for t in range(0, t_max + 1)]
     done = _read_stream(stream, decimal_string(delta)) if stream else {}
     proved = Verdict.PROVED_EMPTY.value

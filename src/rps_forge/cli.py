@@ -2,10 +2,11 @@
 
 Every command emits a report envelope: the command name, package
 version, a config echo sufficient to rerun it bit-identically, a
-timestamp, and the payload.  Payloads are deterministic given the same
-config (stochastic commands require an explicit seed).  Exit codes:
-0 all checks passed, 1 a check failed or was undecided, 2 usage error,
-3 I/O error.
+timestamp, and the payload.  The config holds exactly the options of the
+path that ran; an option that path would not read is a usage error.
+Payloads are deterministic given the same config (stochastic commands
+require an explicit seed).  Exit codes: 0 all checks passed, 1 a check
+failed or was undecided, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -65,27 +66,38 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 FAMILIES = ("imbalanced3", "maximal3", "imbalanced", "blowup", "odd-one-out")
+# namespace entries that route a command or place its report, not echoed
+PLUMBING = ("fn", "command", "format", "out")
 
 
 def _p6(x: float) -> str:
     return f"{float(x):.6f}"
 
 
-def build_family(family: str, m: int, k: int) -> GameRule:
-    if family == "imbalanced3":
-        return imbalanced_rps3(m)
-    if family == "maximal3":
-        return maximal_rps3(m)
-    if family == "imbalanced":
-        return imbalanced_rps(m, k)
-    if family == "blowup":
-        return iterated_blowup(m, k)
-    return odd_one_out(m)  # argparse's choices admit no other family
+def build_family(args) -> GameRule:
+    """The game that ``--family``, ``--m`` and ``--k`` name.  ``args.k`` is
+    left as the depth used: 1 unless given, None for a family without one."""
+    if args.family in ("imbalanced", "blowup"):
+        args.k = 1 if args.k is None else args.k
+        build = imbalanced_rps if args.family == "imbalanced" else iterated_blowup
+        return build(args.m, args.k)
+    if args.k is not None:
+        raise GameError(
+            f"--k is the depth of imbalanced and blowup; {args.family} has none, got --k {args.k}"
+        )
+    return {"imbalanced3": imbalanced_rps3, "maximal3": maximal_rps3,
+            "odd-one-out": odd_one_out}[args.family](args.m)
 
 
-def _envelope(command: str, config: dict, payload: dict) -> dict:
+def _envelope(args, payload: dict) -> dict:
+    """The report of the command ``args`` ran; build's game path is echoed as ``out``."""
+    config = {
+        "out" if key == "out_path" else key: value
+        for key, value in vars(args).items()
+        if key not in PLUMBING
+    }
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": config,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -148,6 +160,11 @@ def _emit(envelope: dict, fmt: str | None, out: str | None) -> int:
     return EXIT_OK
 
 
+def _solves_symmetrically(rule: GameRule) -> bool:
+    """Whether the symmetric solver applies: three objects, tagged ``imbalanced3``."""
+    return (rule.construction or "").startswith("imbalanced3") and len(rule.labels) == 3
+
+
 def _solver_point(rule: GameRule, tol: float = 1e-12):
     """The symmetric solver's solution for ``rule``'s m, its deviation gap on
     ``rule``'s own table, its profile if that gap is within
@@ -169,44 +186,41 @@ def _check_rectangle(args, kmin: int = 1) -> None:
 
 
 def cmd_build(args) -> tuple[dict, bool]:
-    rule = build_family(args.family, args.m, args.k)
+    rule = build_family(args)
     save_game(rule, args.out_path)
     with open(args.out_path) as fh:
         entries = sum(1 for line in fh if line.startswith("counts="))
     payload = {
         "family": args.family,
         "m": rule.m,
-        "k": args.k,
+        "k": 1 if args.k is None else args.k,  # a family without a depth has one level
         "objects": list(rule.labels),
         "multisets": entries,
         "path": args.out_path,
     }
-    config = {"family": args.family, "m": args.m, "k": args.k, "out": args.out_path}
-    return _envelope("build", config, payload), True
+    return payload, True
 
 
 def cmd_nash(args) -> tuple[dict, bool]:
-    config = {
-        "mode": args.mode,
-        "game": args.game,
-        "family": args.family,
-        "m": args.m,
-        "k": args.k,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    if args.game is None and (args.family is None or args.m is None):
+        raise GameError("nash needs --game PATH or --family NAME with --m")
+    unread = [f"--{key} {getattr(args, key)}" for key in ("family", "m", "k")
+              if args.game is not None and getattr(args, key) is not None]
+    if unread:
+        raise GameError(f"--game reads the game from its file; drop {', '.join(unread)}")
     if args.mode == "search" and args.seed is None:
         raise GameError("search mode is stochastic: --seed is required")
-    rule = (load_game(args.game) if args.game is not None  # main requires one of the two
-            else build_family(args.family, args.m, args.k))
+    if args.mode == "symmetric" and args.seed is not None:
+        raise GameError(f"symmetric mode is deterministic: --seed {args.seed} is not read")
+    rule = load_game(args.game) if args.game is not None else build_family(args)
     if args.mode == "symmetric":
-        if not (rule.construction or "").startswith("imbalanced3"):
+        if not _solves_symmetrically(rule):
             raise GameError(
                 "symmetric mode solves the imbalanced three-object family; "
                 "use --family imbalanced3 or a game built from it"
             )
-        config["tol"] = 1e-12 if args.tol is None else args.tol  # the solver's default
-        eq, gap, profile, _ = _solver_point(rule, config["tol"])
+        args.tol = 1e-12 if args.tol is None else args.tol  # the solver's default
+        eq, gap, profile, _ = _solver_point(rule, args.tol)
         payload = {
             "m": rule.m,
             "r": _p6(eq.r),
@@ -214,35 +228,30 @@ def cmd_nash(args) -> tuple[dict, bool]:
             "s": _p6(eq.s),
             "residuals": [f"{x:.3e}" for x in eq.residuals],
             "nash_gap": f"{gap:.3e}",
-            "records": [
-                {"m": rule.m, "r": _p6(eq.r), "p": _p6(eq.p), "s": _p6(eq.s)}
-            ],
+            "records": [{"m": rule.m, "r": _p6(eq.r), "p": _p6(eq.p), "s": _p6(eq.s)}],
         }
-        return _envelope("nash", config, payload), profile is not None
+        return payload, profile is not None
 
     eps = {} if args.tol is None else {"eps": args.tol}
     search = SearchConfig(seed=args.seed, **eps)
-    config["tol"] = search.eps
+    args.tol = search.eps
     found = search_equilibria(rule, search)
-    records = []
-    for idx, (profile, report) in enumerate(found):
-        records.append(
-            {
-                "equilibrium": idx,
-                "symmetric": profile.symmetric,
-                "gap": f"{report.gap:.3e}",
-                "profile": " | ".join(
-                    ",".join(_p6(p) for p in v) for v in profile.vectors
-                ),
-            }
-        )
+    records = [
+        {
+            "equilibrium": idx,
+            "symmetric": profile.symmetric,
+            "gap": f"{report.gap:.3e}",
+            "profile": " | ".join(",".join(_p6(p) for p in v) for v in profile.vectors),
+        }
+        for idx, (profile, report) in enumerate(found)
+    ]
     payload = {
         "objects": list(rule.labels),
         "equilibria_found": len(found),
         "exhaustive": False,
         "records": records,
     }
-    return _envelope("nash", config, payload), True
+    return payload, True
 
 
 def _imbalance_stats(rule: GameRule, payoffs, alphas, seed) -> dict:
@@ -258,7 +267,7 @@ def _imbalance_stats(rule: GameRule, payoffs, alphas, seed) -> dict:
     equilibria: list[MixedProfile] = []
     note = []
     rejected = []
-    if (rule.construction or "").startswith("imbalanced3"):
+    if _solves_symmetrically(rule):
         _, _, profile, basis = _solver_point(rule)
         equilibria.extend(filter(None, [profile]))
         (note if profile else rejected).append(basis)
@@ -280,19 +289,12 @@ def _imbalance_stats(rule: GameRule, payoffs, alphas, seed) -> dict:
 
 
 def cmd_imbalance(args) -> tuple[dict, bool]:
-    config = {
-        "games": args.games,
-        "alpha": args.alpha,
-        "seed": args.seed,
-    }
     if len(args.games) > 2:
         raise GameError(f"imbalance takes one game file, or two to compare; got {len(args.games)}")
     rules = [load_game(p) for p in args.games]
     if len(rules) == 1:
-        payload = _imbalance_stats(
-            rules[0], uniform_expected_payoffs(rules[0]), args.alpha, args.seed
-        )
-        return _envelope("imbalance", config, payload), True
+        payoffs = uniform_expected_payoffs(rules[0])
+        return _imbalance_stats(rules[0], payoffs, args.alpha, args.seed), True
     g1, g2 = rules
     comparison = schur_compare(g1, g2, alphas=args.alpha)
     payload = {
@@ -310,7 +312,7 @@ def cmd_imbalance(args) -> tuple[dict, bool]:
         ],
     }
     # a reporting command: agreement per statistic is information, not a gate
-    return _envelope("imbalance", config, payload), True
+    return payload, True
 
 
 def _verify_identities(args) -> tuple[dict, bool]:
@@ -415,6 +417,8 @@ def _verify_sweep(args) -> tuple[dict, bool]:
 
 
 def _verify_conjecture2(args) -> tuple[dict, bool]:
+    if args.k == 1 and args.seed is not None:
+        raise GameError(f"--k 1 takes the symmetric solver: --seed {args.seed} is not read")
     rule = imbalanced_rps(args.m, args.k)
     profiles: list[MixedProfile] = []
     basis = []
@@ -452,25 +456,6 @@ def _verify_conjecture2(args) -> tuple[dict, bool]:
     return payload, ok
 
 
-def cmd_verify(args) -> tuple[dict, bool]:
-    handlers = {
-        "identities": _verify_identities,
-        "corners": _verify_corners,
-        "formulas": _verify_formulas,
-        "infeasibility": _verify_infeasibility,
-        "sweep": _verify_sweep,
-        "conjecture2": _verify_conjecture2,
-    }
-    payload, ok = handlers[args.check](args)
-    payload["passed"] = ok
-    echoed = (
-        "check", "kmax", "tmax", "k", "t", "m", "delta",
-        "seed", "jobs", "count", "depth", "budget", "stream",
-    )
-    config = {key: getattr(args, key) for key in echoed}
-    return _envelope("verify", config, payload), ok
-
-
 def _default_jobs() -> int:
     try:
         return max(1, int(os.environ.get("RPS_FORGE_JOBS", "1")))
@@ -504,7 +489,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="write a table-backed game file", parents=[fmt_parent])
     b.add_argument("--family", choices=FAMILIES, required=True)
     b.add_argument("--m", type=int, required=True)
-    b.add_argument("--k", type=int, default=1)
+    b.add_argument("--k", type=int, default=None, help="depth of imbalanced and blowup (default 1)")
     b.add_argument("--out", dest="out_path", required=True, help="game file path")
     b.set_defaults(fn=cmd_build)
 
@@ -512,7 +497,7 @@ def make_parser() -> argparse.ArgumentParser:
     n.add_argument("--game", default=None)
     n.add_argument("--family", choices=FAMILIES, default=None)
     n.add_argument("--m", type=int, default=None)
-    n.add_argument("--k", type=int, default=1)
+    n.add_argument("--k", type=int, default=None, help="depth of imbalanced and blowup (default 1)")
     n.add_argument("--mode", choices=("symmetric", "search"), default="symmetric")
     n.add_argument("--seed", type=int, default=None)
     n.add_argument("--tol", type=float, default=None, help="default 1e-12 symmetric, 1e-9 search")
@@ -528,40 +513,55 @@ def make_parser() -> argparse.ArgumentParser:
     i.add_argument("--seed", type=int, default=None)
     i.set_defaults(fn=cmd_imbalance)
 
+    # each check takes report_parent itself: shared through both parents, its
+    # --format would clash, and resolving that mutates the shared action.  No
+    # abbreviations, so another check's --k or --t is not read as --kmax or --tmax
+    rectangle = argparse.ArgumentParser(add_help=False)
+    rectangle.add_argument("--kmax", type=int, default=12)
+    rectangle.add_argument("--tmax", type=int, default=12)
+    certificate = argparse.ArgumentParser(add_help=False)
+    certificate.add_argument("--delta", type=str, default="1e-6")
+    certificate.add_argument("--depth", type=int, default=40)
     v = sub.add_parser("verify", help="run verification checks", parents=[report_parent])
-    v.add_argument(
-        "check",
-        choices=("identities", "corners", "formulas", "infeasibility", "sweep", "conjecture2"),
-    )
-    v.add_argument("--kmax", type=int, default=12)
-    v.add_argument("--tmax", type=int, default=12)
-    v.add_argument("--k", type=int, default=1)
-    v.add_argument("--t", type=int, default=0)
-    v.add_argument("--m", type=int, default=3)
-    v.add_argument("--delta", type=str, default="1e-6")
-    v.add_argument("--depth", type=int, default=40)
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--count", type=int, default=200)
-    v.add_argument("--budget", type=float, default=600.0)
-    v.add_argument("--jobs", type=int, default=_default_jobs())
-    v.add_argument(
+    checks = v.add_subparsers(dest="check", required=True)
+
+    def check(name, fn, text, *parents):
+        c = checks.add_parser(
+            name, help=text, parents=[report_parent, *parents], allow_abbrev=False
+        )
+        c.set_defaults(fn=fn)
+        return c
+
+    check("identities", _verify_identities, "the two simplification identities", rectangle)
+    check("corners", _verify_corners, "the corner values are negative", rectangle)
+    c = check("formulas", _verify_formulas, "closed forms against direct sums", rectangle)
+    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--count", type=int, default=200)
+    c = check("infeasibility", _verify_infeasibility, "one (k, t) certificate", certificate)
+    c.add_argument("--k", type=int, default=1)
+    c.add_argument("--t", type=int, default=0)
+    c = check("sweep", _verify_sweep, "a certificate per (k, t) pair", rectangle, certificate)
+    c.add_argument("--budget", type=float, default=600.0)
+    c.add_argument("--jobs", type=int, default=_default_jobs())
+    c.add_argument(
         "--stream", default=None, metavar="FILE",
-        help="sweep: append each record to FILE as a JSON line; an existing FILE resumes",
+        help="append each record to FILE as a JSON line; an existing FILE resumes",
     )
-    v.set_defaults(fn=cmd_verify)
+    c = check("conjecture2", _verify_conjecture2, "the P-to-S play ratio bound m - 1")
+    c.add_argument("--m", type=int, default=3)
+    c.add_argument("--k", type=int, default=1)
+    c.add_argument("--seed", type=int, default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command == "nash" and args.game is None:
-        if args.family is None or args.m is None:
-            parser.error("nash needs --game PATH or --family NAME with --m")
+    args = make_parser().parse_args(argv)
     try:
-        envelope, ok = args.fn(args)
-        code = _emit(envelope, args.format, args.out)
+        payload, ok = args.fn(args)
+        if args.command == "verify":
+            payload["passed"] = ok
+        code = _emit(_envelope(args, payload), args.format, args.out)
     except GameFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if "cannot read" in str(exc) else EXIT_USAGE

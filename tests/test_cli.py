@@ -30,12 +30,12 @@ def run_json(capsys, *argv):
     return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None), err
 
 
-def build_mistagged(capsys, path):
-    """maximal3's m = 3 table under imbalanced3's construction tag."""
-    run_json(capsys, "build", "--family", "maximal3", "--m", "3", "--out", str(path))
+def build_mistagged(capsys, path, family="maximal3"):
+    """``family``'s m = 3 table under imbalanced3's construction tag."""
+    run_json(capsys, "build", "--family", family, "--m", "3", "--out", str(path))
     text = path.read_text()
-    assert "# construction: maximal3 m=3\n" in text
-    path.write_text(text.replace("maximal3 m=3", "imbalanced3 m=3"))
+    assert f"# construction: {family} m=3\n" in text
+    path.write_text(text.replace(f"{family} m=3", "imbalanced3 m=3"))
 
 
 def search_refusal(rule):
@@ -103,6 +103,26 @@ class TestBuild:
         assert code == EXIT_OK
         assert env["payload"]["objects"] == ["a", "b"]
 
+    @pytest.mark.parametrize("family", ["imbalanced3", "maximal3", "odd-one-out"])
+    def test_k_rejected_for_a_family_without_depth(self, capsys, tmp_path, family):
+        path = tmp_path / "g.rps"
+        code, out, err = run_cli(
+            capsys, "build", "--family", family, "--m", "3", "--k", "2", "--out", str(path)
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == (
+            f"error: --k is the depth of imbalanced and blowup; {family} has none, got --k 2\n"
+        )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family, k", [("imbalanced", 1), ("blowup", 1), ("imbalanced3", None)])
+    def test_config_echoes_the_depth_used(self, capsys, tmp_path, family, k):
+        path = tmp_path / "g.rps"
+        code, env, _ = run_json(capsys, "build", "--family", family, "--m", "3", "--out", str(path))
+        assert code == EXIT_OK
+        assert env["config"] == {"family": family, "m": 3, "k": k, "out": str(path)}
+        assert env["payload"]["k"] == 1
+
     def test_build_bad_directory_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "build", "--family", "imbalanced3", "--m", "3",
@@ -169,6 +189,42 @@ class TestNash:
         assert code == EXIT_USAGE and not out
         assert "imbalanced3" in err
 
+    def test_game_with_family_options_names_each(self, capsys, tmp_path):
+        path = tmp_path / "g.rps"
+        run_json(capsys, "build", "--family", "imbalanced3", "--m", "3", "--out", str(path))
+        code, out, err = run_cli(
+            capsys, "nash", "--game", str(path), "--family", "maximal3", "--m", "3", "--k", "2",
+            "--mode", "search", "--seed", "7",
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == (
+            "error: --game reads the game from its file; drop --family maximal3, --m 3, --k 2\n"
+        )
+
+    def test_symmetric_mode_rejects_seed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "nash", "--family", "imbalanced3", "--m", "3", "--seed", "1"
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == "error: symmetric mode is deterministic: --seed 1 is not read\n"
+
+    @pytest.mark.parametrize("family", ["imbalanced3", "maximal3", "odd-one-out"])
+    def test_k_rejected_for_a_family_without_depth(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "nash", "--family", family, "--m", "3", "--k", "1", "--mode", "search",
+            "--seed", "1",
+        )
+        assert code == EXIT_USAGE and not out
+        assert f"{family} has none, got --k 1" in err
+
+    def test_config_is_the_options_read(self, capsys):
+        code, env, _ = run_json(capsys, "nash", "--family", "imbalanced3", "--m", "3")
+        assert code == EXIT_OK
+        assert env["config"] == {
+            "mode": "symmetric", "game": None, "family": "imbalanced3", "m": 3, "k": None,
+            "seed": None, "tol": 1e-12,
+        }
+
     def test_solver_failure_exits_with_diagnostics(self, capsys):
         # an unreachable residual tolerance forces a solver failure
         code, _, err = run_cli(
@@ -213,9 +269,10 @@ class TestNash:
     def test_infinite_tolerance_rejected(self, capsys, mode, name):
         # An infinite tolerance skipped the residual gate and let search
         # candidates that fail the gap check pass as verified.
+        seed = ("--seed", "1") if mode == "search" else ()
         code, out, err = run_cli(
             capsys, "nash", "--family", "imbalanced3", "--m", "3", "--mode", mode,
-            "--seed", "1", "--tol", "inf",
+            *seed, "--tol", "inf",
         )
         assert code == EXIT_USAGE
         assert f"{name} must be positive and finite" in err and not out
@@ -319,6 +376,24 @@ class TestImbalance:
         )
         assert seeded["payload"] == expected["payload"]
         assert "nash_entropy" in expected["payload"]
+
+    def test_two_object_game_tagged_imbalanced3_is_not_solved(self, capsys, tmp_path):
+        # The tag names imbalanced3, the table is odd-one-out's two objects:
+        # the symmetric solver, which needs three, is not asked.
+        path = tmp_path / "mistagged.rps"
+        build_mistagged(capsys, path, family="odd-one-out")
+        code, env, _ = run_json(capsys, "imbalance", str(path))
+        assert code == EXIT_OK
+        assert env["payload"]["equilibrium_basis"] == "not computed (pass --seed for search)"
+        genuine = tmp_path / "odd.rps"
+        run_json(capsys, "build", "--family", "odd-one-out", "--m", "3", "--out", str(genuine))
+        _, seeded, _ = run_json(capsys, "imbalance", str(path), "--seed", "3")
+        _, expected, _ = run_json(capsys, "imbalance", str(genuine), "--seed", "3")
+        assert seeded["payload"] == expected["payload"]
+        assert "nash_entropy" in expected["payload"]
+        code, out, err = run_cli(capsys, "nash", "--game", str(path), "--mode", "symmetric")
+        assert code == EXIT_USAGE and not out
+        assert "symmetric mode solves the imbalanced three-object family" in err
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.rps"
@@ -490,6 +565,29 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "budget_seconds must be nonnegative and finite" in err and not out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--depth", "0", "max_depth must lie in 1..60"),
+            ("--delta", "0.5", "delta must lie in (0, 0.01], got 1/2"),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_rejects_certificate_options_before_the_stream(
+        self, capsys, tmp_path, flag, value, message, jobs
+    ):
+        fresh = tmp_path / "new.jsonl"
+        argv = ("verify", "sweep", "--kmax", "1", "--tmax", "0", "--jobs", jobs)
+        code, out, err = run_cli(capsys, *argv, flag, value, "--stream", str(fresh))
+        assert code == EXIT_USAGE and not out
+        assert err == f"error: {message}\n"
+        assert not fresh.exists()
+        held = tmp_path / "held.jsonl"
+        assert run_json(capsys, *argv, "--stream", str(held))[0] == EXIT_OK
+        before = held.read_bytes()
+        assert run_cli(capsys, *argv, flag, value, "--stream", str(held))[0] == EXIT_USAGE
+        assert held.read_bytes() == before
+
     def test_sweep_stream_lines_are_the_records(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"
         code, env, _ = run_json(
@@ -547,6 +645,13 @@ class TestVerify:
         assert env["payload"]["profiles_examined"] == 0
         assert env["payload"]["basis"].startswith("symmetric solver's point rejected at gap ")
 
+    def test_conjecture2_k1_rejects_seed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "conjecture2", "--m", "3", "--k", "1", "--seed", "1"
+        )
+        assert code == EXIT_USAGE and not out
+        assert err == "error: --k 1 takes the symmetric solver: --seed 1 is not read\n"
+
     @pytest.mark.parametrize("m, k, seed", [(5, 2, ()), (5, 2, ("--seed", "1")), (3, 3, ("--seed", "1"))])
     def test_conjecture2_passes_on_the_search_refusal(self, capsys, m, k, seed):
         code, out, err = run_cli(
@@ -561,6 +666,55 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert env["payload"]["records"]
+
+
+# each verify check's options, and a small run of it
+CHECK_OPTIONS = {
+    "identities": ("kmax", "tmax"),
+    "corners": ("kmax", "tmax"),
+    "formulas": ("kmax", "tmax", "seed", "count"),
+    "infeasibility": ("k", "t", "delta", "depth"),
+    "sweep": ("kmax", "tmax", "delta", "depth", "budget", "jobs", "stream"),
+    "conjecture2": ("m", "k", "seed"),
+}
+CHECK_RUNS = {
+    "identities": ("--kmax", "2", "--tmax", "1"),
+    "corners": ("--kmax", "2", "--tmax", "1"),
+    "formulas": ("--seed", "1", "--count", "2", "--kmax", "2", "--tmax", "1"),
+    "infeasibility": ("--k", "2", "--t", "1"),
+    "sweep": ("--kmax", "1", "--tmax", "0"),
+    "conjecture2": ("--m", "3", "--k", "1"),
+}
+
+
+class TestCheckOptions:
+    @pytest.mark.parametrize("check", sorted(CHECK_OPTIONS))
+    def test_config_keys_are_the_check_options(self, capsys, check):
+        code, env, _ = run_json(capsys, "verify", check, *CHECK_RUNS[check])
+        assert code == EXIT_OK
+        assert set(env["config"]) == {"check", *CHECK_OPTIONS[check]}
+        assert env["config"]["check"] == check
+
+    @pytest.mark.parametrize("check", sorted(CHECK_OPTIONS))
+    def test_another_checks_option_is_unrecognized(self, capsys, check):
+        foreign = set().union(*CHECK_OPTIONS.values()) - set(CHECK_OPTIONS[check])
+        assert foreign
+        for option in sorted(foreign):
+            with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown option
+                main(["verify", check, *CHECK_RUNS[check], f"--{option}", "1"])
+            out, err = capsys.readouterr()
+            assert exc.value.code == EXIT_USAGE and not out
+            assert f"unrecognized arguments: --{option} 1" in err
+
+    def test_sweep_help_lists_only_its_options(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sweep", "--help"])
+        assert exc.value.code == EXIT_OK
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        own = {f"--{option}" for option in CHECK_OPTIONS["sweep"]}
+        assert listed == {"--help", "--format", "--out", *own}
 
 
 class TestJobsDefault:
@@ -667,6 +821,54 @@ def test_module_entry_point_prints_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+def reproduce_script():
+    """``scripts/reproduce_results.py``, imported as a module."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    spec = importlib.util.spec_from_file_location("reproduce_results", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_script_fails_on_a_rejected_solver_point(capsys, monkeypatch):
+    from rps_forge import cli
+
+    script = reproduce_script()
+    real = cli.solve_symmetric_rps3
+    # the solution for one player more is no equilibrium of the game asked about
+    monkeypatch.setattr(cli, "solve_symmetric_rps3", lambda m, tol: real(m + 1, tol))
+    assert script.main(["--sweep-kmax", "1", "--sweep-tmax", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "[rejected]" in out and "symmetric solver's point rejected at gap" in out
+    assert "1/1 proved empty" in out
+
+
+@pytest.mark.parametrize("section", ["table", "ratio rejected", "ratio unsatisfied"])
+def test_reproduce_script_fails_on_each_section(capsys, monkeypatch, section):
+    # each section alone decides the exit code: the table's game, or the
+    # ratio rows' game, swapped for maximal3's, or a ratio below its bound
+    from dataclasses import replace
+
+    from rps_forge.construct import maximal_rps3
+
+    script = reproduce_script()
+    assert script.main(["--sweep-kmax", "1", "--sweep-tmax", "0"]) == 0
+    if section == "table":
+        monkeypatch.setattr(script, "imbalanced_rps3", maximal_rps3)
+    elif section == "ratio rejected":
+        monkeypatch.setattr(script, "imbalanced_rps", lambda m, k: maximal_rps3(m))
+    else:
+        real = script.ptype_to_s_ratio_check
+        monkeypatch.setattr(
+            script, "ptype_to_s_ratio_check",
+            lambda rule, profile: [replace(r, satisfied=False) for r in real(rule, profile)],
+        )
+    assert script.main(["--sweep-kmax", "1", "--sweep-tmax", "0"]) == 1
+    assert "SOME CHECKS DID NOT PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--sweep-kmax", "0"), ("--sweep-tmax", "-1")])
